@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def fpr_experiment(out_dir):
     cfg = load_config(CONFIGS / "default.json")
     if out_dir:
-        cfg = cfg.__class__(**{**cfg.__dict__, "out_dir": str(Path(out_dir) / "fpr")})
+        cfg = replace(cfg, out_dir=str(Path(out_dir) / "fpr"))
     t0 = time.time()
     summary = run_replications(cfg)
     agg = summary.aggregates()
@@ -51,7 +52,7 @@ def detection_experiment(out_dir):
     for m in (1, 2, 3):
         cfg = load_config(CONFIGS / "detection.json", overrides={"m": m})
         if out_dir:
-            cfg = cfg.__class__(**{**cfg.__dict__, "out_dir": str(Path(out_dir) / f"random_m{m}")})
+            cfg = replace(cfg, out_dir=str(Path(out_dir) / f"random_m{m}"))
         t0 = time.time()
         agg = run_replications(cfg).aggregates()
         print(f"   m={m}: flags={agg['flag_count']}/{agg['replications']}  "

@@ -15,10 +15,8 @@ from .audit import (
     EvidenceRecord,
     LambdaSchedule,
     WealthState,
-    calibrate_lambda,
     calibration_report,
     detection_time_bound,
-    evidence,
     run_audit,
     update_wealth,
 )

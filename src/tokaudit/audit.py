@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ConditionsViolated, DomainError, TokenAuditError
-from .estimator import LengthEstimate, TruncationDist, estimate_length
+from .estimator import TruncationDist, estimate_length
 from .policies import PolicySpec, apply_policy
 from .tokenspace import str_of
 from .toymodel import ModelSpec, sample_sequence
@@ -91,16 +91,10 @@ class AuditOutcome:
     trajectory: tuple
     final_log_wealth: float
     anomaly: Optional[AnomalyRecord] = None
-    clamped: bool = False
 
     @property
     def final_wealth(self) -> float:
         return math.exp(self.final_log_wealth)
-
-
-def evidence(reported: tuple, estimate: LengthEstimate) -> float:
-    """Reported token count minus the estimated conditional expected length."""
-    return len(reported) - estimate.value
 
 
 def update_wealth(
@@ -115,7 +109,7 @@ def update_wealth(
     """Advance the wealth process by one evidence value.
 
     A nonpositive factor does not advance the process; the state comes back
-    with the anomaly attached and the caller decides what to do with it.
+    with the anomaly attached and the audit ends there.
     """
     i = state.step + 1
     lam = schedule.at(i)
@@ -150,17 +144,15 @@ def run_audit(
     trunc: TruncationDist,
     max_steps: int,
     rng,
-    anomaly_mode: str = "abort",
-    clamp_eps: float = 1e-12,
 ) -> AuditOutcome:
     """Sequential audit: stop and flag once the wealth exceeds 1/alpha.
 
     Per step: draw a prompt uniformly, let the provider generate and
     report, estimate the conditional expected length of the reported
-    string, and bet on the difference. anomaly_mode picks what happens on a
-    nonpositive factor: "abort" ends the audit with the anomaly recorded,
-    "clamp" substitutes clamp_eps and keeps going (the trajectory is marked
-    so validity statistics can exclude it).
+    string, and bet on the difference. A nonpositive factor ends the audit
+    unflagged with the anomaly recorded. Freezing the wealth there is the
+    same as a factor of 0, so the wealth stays a nonnegative supermartingale
+    under a faithful provider on every path.
     """
     if not 0 < alpha < 1:
         raise DomainError("alpha must lie in (0, 1)")
@@ -168,15 +160,9 @@ def run_audit(
         raise DomainError("max_steps must be at least 1")
     if len(prompts) == 0:
         raise DomainError("prompt corpus is empty")
-    if anomaly_mode not in ("abort", "clamp"):
-        raise DomainError(f"unknown anomaly_mode {anomaly_mode!r}")
-    if not clamp_eps > 0:
-        raise DomainError("clamp_eps must be positive")
 
     threshold = -math.log(alpha)
     state = WealthState()
-    anomaly: Optional[AnomalyRecord] = None
-    clamped = False
     while state.step < max_steps:
         pid = int(rng.integers(len(prompts)))
         q = prompts[pid]
@@ -188,55 +174,18 @@ def run_audit(
         except TokenAuditError as err:
             raise type(err)(f"audit step {state.step + 1} (prompt {pid}): {err}") from err
         e = len(reported) - est.value
-        nxt = update_wealth(
+        state = update_wealth(
             state, e, schedule, prompt_id=pid, reported_len=len(reported), estimate=est.value
         )
-        if nxt.anomaly is not None:
-            if anomaly is None:
-                anomaly = nxt.anomaly
-            if anomaly_mode == "abort":
-                return AuditOutcome(
-                    flagged=False,
-                    tau=None,
-                    trajectory=state.history,
-                    final_log_wealth=state.log_wealth,
-                    anomaly=anomaly,
-                    clamped=False,
-                )
-            clamped = True
-            i = state.step + 1
-            rec = EvidenceRecord(
-                step=i,
-                prompt_id=pid,
-                reported_len=len(reported),
-                estimate=est.value,
-                evidence=e,
-                lam=schedule.at(i),
-                factor=clamp_eps,
-            )
-            state = WealthState(
-                step=i,
-                log_wealth=state.log_wealth + math.log(clamp_eps),
-                history=state.history + (rec,),
-            )
-        else:
-            state = nxt
-        if state.log_wealth > threshold:
-            return AuditOutcome(
-                flagged=True,
-                tau=state.step,
-                trajectory=state.history,
-                final_log_wealth=state.log_wealth,
-                anomaly=anomaly,
-                clamped=clamped,
-            )
+        if state.anomaly is not None or state.log_wealth > threshold:
+            break
+    flagged = state.log_wealth > threshold
     return AuditOutcome(
-        flagged=False,
-        tau=None,
+        flagged=flagged,
+        tau=state.step if flagged else None,
         trajectory=state.history,
         final_log_wealth=state.log_wealth,
-        anomaly=anomaly,
-        clamped=clamped,
+        anomaly=state.anomaly,
     )
 
 
@@ -299,19 +248,6 @@ def calibration_report(
         safety=safety,
         cap=cap,
     )
-
-
-def calibrate_lambda(
-    spec: ModelSpec,
-    prompts,
-    trunc: TruncationDist,
-    n_holdout: int,
-    safety: float = 0.9,
-    cap: float = 1.0,
-    rng=None,
-) -> float:
-    """Calibrated bet size; see calibration_report for the full picture."""
-    return calibration_report(spec, prompts, trunc, n_holdout, safety, cap, rng).lam
 
 
 def detection_time_bound(

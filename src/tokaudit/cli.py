@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .audit import detection_time_bound, calibration_report, LambdaSchedule
+from .audit import detection_time_bound, run_audit
 from .errors import (
     ConditionsViolated,
     InputError,
@@ -28,12 +26,12 @@ from .errors import (
 from .harness import (
     CALIBRATION_STREAM,
     RunConfig,
+    calibrate,
     load_config,
     replication_rng,
+    resolve_schedule,
     run_replications,
-    summary_dict,
     write_trajectory_csv,
-    TRAJECTORY_COLUMNS,
 )
 from .oracle import (
     conditional_expected_length,
@@ -41,7 +39,7 @@ from .oracle import (
     evidence_moments,
     exact_intensity,
 )
-from .audit import run_audit
+from .policies import PolicySpec
 from .tokenspace import str_of
 
 
@@ -65,7 +63,6 @@ def _add_common(sub):
     sub.add_argument("--replications", type=int)
     sub.add_argument("--seed", type=int, help="master seed (beats TOKEN_AUDIT_SEED)")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--anomaly-mode", choices=["abort", "clamp"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +109,6 @@ def _overrides(args) -> dict:
         ("max_steps", "max_steps"),
         ("replications", "replications"),
         ("out", "out_dir"),
-        ("anomaly_mode", "anomaly_mode"),
     ]:
         val = getattr(args, key, None)
         if val is not None:
@@ -122,27 +118,17 @@ def _overrides(args) -> dict:
     return out
 
 
-def _resolve_schedule(config: RunConfig):
-    """Return (schedule, calibration or None), calibrating when configured."""
-    if config.schedule is not None:
-        return config.schedule, None
-    crng = np.random.default_rng(
-        np.random.SeedSequence(config.master_seed, spawn_key=(CALIBRATION_STREAM,))
+def _moments(config: RunConfig, n: int):
+    """Evidence moments at the resolved bet size, on the stream below calibration's."""
+    schedule, _ = resolve_schedule(config)
+    rng = replication_rng(config.master_seed, CALIBRATION_STREAM - 1)
+    return evidence_moments(
+        config.policy, config.model, config.corpus, config.trunc, n, rng, schedule.lambda0
     )
-    calib = calibration_report(
-        config.model,
-        config.holdout,
-        config.trunc,
-        config.n_holdout,
-        config.safety,
-        config.lambda_cap,
-        crng,
-    )
-    return LambdaSchedule.constant(calib.lam), calib
 
 
 def _cmd_audit(config: RunConfig) -> int:
-    schedule, _ = _resolve_schedule(config)
+    schedule, _ = resolve_schedule(config)
     rng = replication_rng(config.master_seed, 0)
     outcome = run_audit(
         config.model,
@@ -153,19 +139,8 @@ def _cmd_audit(config: RunConfig) -> int:
         config.trunc,
         config.max_steps,
         rng,
-        config.anomaly_mode,
-        config.clamp_eps,
     )
-    print(",".join(TRAJECTORY_COLUMNS))
-    log_w = 0.0
-    for rec in outcome.trajectory:
-        log_w += math.log(rec.factor)
-        flagged = "true" if outcome.flagged and rec.step == outcome.tau else "false"
-        print(
-            f"{rec.step},{rec.prompt_id},{rec.reported_len},{rec.estimate!r},"
-            f"{rec.evidence!r},{rec.lam!r},{rec.factor!r},{log_w!r},"
-            f"{math.exp(log_w)!r},{flagged}"
-        )
+    write_trajectory_csv(sys.stdout, outcome)
     tau = outcome.tau if outcome.tau is not None else "censored"
     print(f"# flagged={str(outcome.flagged).lower()} tau={tau} "
           f"final_wealth={outcome.final_wealth!r}")
@@ -174,7 +149,8 @@ def _cmd_audit(config: RunConfig) -> int:
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(out / "trajectory_0.csv", outcome)
+        with open(out / "trajectory_0.csv", "w", encoding="utf-8", newline="") as fh:
+            write_trajectory_csv(fh, outcome)
     return 0
 
 
@@ -188,20 +164,7 @@ def _cmd_replicate(config: RunConfig) -> int:
 
 
 def _cmd_calibrate(config: RunConfig) -> int:
-    if config.holdout is None:
-        raise InputError("calibrate needs a calibration corpus in the config")
-    crng = np.random.default_rng(
-        np.random.SeedSequence(config.master_seed, spawn_key=(CALIBRATION_STREAM,))
-    )
-    calib = calibration_report(
-        config.model,
-        config.holdout,
-        config.trunc,
-        config.n_holdout,
-        config.safety,
-        config.lambda_cap,
-        crng,
-    )
+    calib = calibrate(config)
     es = calib.evidences
     print(f"lambda_max = {calib.lam_max!r}")
     print(f"lambda = {calib.lam!r}")
@@ -213,8 +176,6 @@ def _cmd_calibrate(config: RunConfig) -> int:
 
 
 def _cmd_oracle(config: RunConfig, moments_n: int) -> int:
-    schedule, _ = _resolve_schedule(config)
-    lam = schedule.lambda0
     report: dict = {"prompts": {}}
     for pid, prompt in enumerate(config.corpus):
         dist = enumerate_output_distribution(config.model, prompt)
@@ -227,12 +188,7 @@ def _cmd_oracle(config: RunConfig, moments_n: int) -> int:
                 s: conditional_expected_length(config.model, prompt, s) for s in strings
             },
         }
-    mrng = np.random.default_rng(
-        np.random.SeedSequence(config.master_seed, spawn_key=(CALIBRATION_STREAM - 1,))
-    )
-    moments = evidence_moments(
-        config.policy, config.model, config.corpus, config.trunc, moments_n, mrng, lam
-    )
+    moments = _moments(config, moments_n)
     report["intensity"] = exact_intensity(config.policy, config.model, config.corpus)
     report["policy"] = {"kind": config.policy.kind, "m": config.policy.m, "p": config.policy.p}
     report["moments"] = {
@@ -258,42 +214,21 @@ def _cmd_oracle(config: RunConfig, moments_n: int) -> int:
 
 
 def _cmd_fpr(config: RunConfig) -> int:
-    forced = RunConfig(
-        model=config.model,
-        policy=type(config.policy).faithful(),
-        alpha=config.alpha,
-        trunc=config.trunc,
-        max_steps=config.max_steps,
-        replications=config.replications,
-        master_seed=config.master_seed,
-        corpus=config.corpus,
-        schedule=config.schedule,
-        holdout=config.holdout,
-        n_holdout=config.n_holdout,
-        safety=config.safety,
-        lambda_cap=config.lambda_cap,
-        out_dir=config.out_dir,
-        anomaly_mode=config.anomaly_mode,
-        clamp_eps=config.clamp_eps,
-    )
-    return _cmd_replicate(forced)
+    return _cmd_replicate(replace(config, policy=PolicySpec.faithful()))
 
 
 def _cmd_bound(config: RunConfig, moments_n: int) -> int:
-    schedule, _ = _resolve_schedule(config)
-    lam = schedule.lambda0
     intensity = exact_intensity(config.policy, config.model, config.corpus)
-    mrng = np.random.default_rng(
-        np.random.SeedSequence(config.master_seed, spawn_key=(CALIBRATION_STREAM - 1,))
-    )
-    moments = evidence_moments(
-        config.policy, config.model, config.corpus, config.trunc, moments_n, mrng, lam
-    )
+    moments = _moments(config, moments_n)
+    lam = moments.lambda0
     print(f"lambda0 = {lam!r}")
     print(f"intensity = {intensity!r}")
     print(f"var_e = {moments.variance!r}")
     print(f"b_minus = {moments.empirical_b_minus!r}")
     print(f"b_plus = {moments.empirical_b_plus!r}")
+    if moments.empirical_b_minus <= 0:
+        print("conditions violated: a sampled factor 1 + lambda0 * E is nonpositive")
+        return 0
     try:
         value = detection_time_bound(
             lam,

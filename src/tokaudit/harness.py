@@ -115,8 +115,6 @@ class RunConfig:
     safety: float = 0.9
     lambda_cap: float = 1.0
     out_dir: Optional[str] = None
-    anomaly_mode: str = "abort"
-    clamp_eps: float = 1e-12
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -135,8 +133,8 @@ class RunConfig:
                 )
 
 
-# config file schema, version 1: a JSON object with these keys. Paths are
-# resolved relative to the config file's directory.
+# config file schema, version 1: a JSON object with these keys and no
+# others. Paths are resolved relative to the config file's directory.
 CONFIG_SCHEMA = {
     "model": {
         "seed": "int, required",
@@ -161,8 +159,6 @@ CONFIG_SCHEMA = {
     "master_seed": "int, required (env TOKEN_AUDIT_SEED and --seed override)",
     "corpus": "path to the audit prompts, required",
     "out_dir": "directory for trajectory CSVs and summary JSON, optional",
-    "anomaly_mode": "abort | clamp, default abort",
-    "clamp_eps": "float > 0, default 1e-12",
 }
 
 
@@ -183,6 +179,9 @@ def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
         raise InputError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(cfg, dict):
         raise InputError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_SCHEMA))
+    if unknown:
+        raise InputError(f"{path}: unknown config keys {unknown}")
     overrides = dict(overrides or {})
     base = path.parent
 
@@ -264,8 +263,6 @@ def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
             safety=float(craw.get("safety", 0.9)),
             lambda_cap=float(craw.get("cap", 1.0)),
             out_dir=str(out_dir) if out_dir is not None else None,
-            anomaly_mode=str(overrides.get("anomaly_mode", cfg.get("anomaly_mode", "abort"))),
-            clamp_eps=float(cfg.get("clamp_eps", 1e-12)),
         )
     except (TypeError, ValueError) as err:
         if isinstance(err, InputError) or isinstance(err, DomainError):
@@ -316,9 +313,8 @@ class ReplicationSummary:
             "flag_rate": flags / n if n else None,
             "flag_rate_ci95": [lo, hi],
             "tau_quantiles": tau_quantiles,
-            "censored": sum(1 for o in done if not o.flagged),
+            "censored": sum(1 for o in done if not o.flagged and o.anomaly is None),
             "anomalies": sum(1 for o in done if o.anomaly is not None),
-            "clamped": sum(1 for o in done if o.clamped),
             "lambda": self.lam,
             "alpha": self.alpha,
             "max_steps": self.max_steps,
@@ -336,24 +332,32 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def calibrate(config: RunConfig) -> CalibrationResult:
+    """Holdout calibration on the reserved calibration stream."""
+    if config.holdout is None:
+        raise InputError("calibrate needs a calibration corpus in the config")
+    return calibration_report(
+        config.model,
+        config.holdout,
+        config.trunc,
+        config.n_holdout,
+        config.safety,
+        config.lambda_cap,
+        replication_rng(config.master_seed, CALIBRATION_STREAM),
+    )
+
+
+def resolve_schedule(config: RunConfig):
+    """Return (schedule, calibration or None), calibrating when configured."""
+    if config.schedule is not None:
+        return config.schedule, None
+    calibration = calibrate(config)
+    return LambdaSchedule.constant(calibration.lam), calibration
+
+
 def run_replications(config: RunConfig) -> ReplicationSummary:
     """Run the configured number of independent audits and export results."""
-    schedule = config.schedule
-    calibration = None
-    if schedule is None:
-        crng = np.random.default_rng(
-            np.random.SeedSequence(config.master_seed, spawn_key=(CALIBRATION_STREAM,))
-        )
-        calibration = calibration_report(
-            config.model,
-            config.holdout,
-            config.trunc,
-            config.n_holdout,
-            config.safety,
-            config.lambda_cap,
-            crng,
-        )
-        schedule = LambdaSchedule.constant(calibration.lam)
+    schedule, calibration = resolve_schedule(config)
     outcomes: list = []
     errors: list = []
     for r in range(config.replications):
@@ -369,8 +373,6 @@ def run_replications(config: RunConfig) -> ReplicationSummary:
                     config.trunc,
                     config.max_steps,
                     rng,
-                    config.anomaly_mode,
-                    config.clamp_eps,
                 )
             )
         except Exception as err:  # recorded, surfaced in the summary
@@ -404,27 +406,27 @@ TRAJECTORY_COLUMNS = [
 ]
 
 
-def write_trajectory_csv(path, outcome: AuditOutcome):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRAJECTORY_COLUMNS)
-        log_w = 0.0
-        for rec in outcome.trajectory:
-            log_w += math.log(rec.factor)
-            writer.writerow(
-                [
-                    rec.step,
-                    rec.prompt_id,
-                    rec.reported_len,
-                    repr(rec.estimate),
-                    repr(rec.evidence),
-                    repr(rec.lam),
-                    repr(rec.factor),
-                    repr(log_w),
-                    repr(math.exp(log_w)),
-                    "true" if outcome.flagged and rec.step == outcome.tau else "false",
-                ]
-            )
+def write_trajectory_csv(fh, outcome: AuditOutcome):
+    """Write the header and one row per step to the text stream fh."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(TRAJECTORY_COLUMNS)
+    log_w = 0.0
+    for rec in outcome.trajectory:
+        log_w += math.log(rec.factor)
+        writer.writerow(
+            [
+                rec.step,
+                rec.prompt_id,
+                rec.reported_len,
+                repr(rec.estimate),
+                repr(rec.evidence),
+                repr(rec.lam),
+                repr(rec.factor),
+                repr(log_w),
+                repr(math.exp(log_w)),
+                "true" if outcome.flagged and rec.step == outcome.tau else "false",
+            ]
+        )
 
 
 def _outcome_row(outcome: Optional[AuditOutcome]) -> Optional[dict]:
@@ -444,7 +446,6 @@ def _outcome_row(outcome: Optional[AuditOutcome]) -> Optional[dict]:
         "final_log_wealth": outcome.final_log_wealth,
         "final_wealth": outcome.final_wealth,
         "anomaly": anomaly,
-        "clamped": outcome.clamped,
     }
 
 
@@ -481,7 +482,6 @@ def summary_dict(config: RunConfig, summary: ReplicationSummary) -> dict:
             "max_steps": config.max_steps,
             "replications": config.replications,
             "master_seed": config.master_seed,
-            "anomaly_mode": config.anomaly_mode,
             "corpus_digest": config.corpus.digest,
             "holdout_digest": config.holdout.digest if config.holdout else None,
         },
@@ -497,6 +497,7 @@ def write_outputs(config: RunConfig, summary: ReplicationSummary):
     out.mkdir(parents=True, exist_ok=True)
     for r, outcome in enumerate(summary.outcomes):
         if outcome is not None:
-            write_trajectory_csv(out / f"trajectory_{r}.csv", outcome)
+            with open(out / f"trajectory_{r}.csv", "w", encoding="utf-8", newline="") as fh:
+                write_trajectory_csv(fh, outcome)
     payload = json.dumps(summary_dict(config, summary), indent=2, sort_keys=True)
     (out / "summary.json").write_text(payload + "\n", encoding="utf-8")

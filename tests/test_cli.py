@@ -72,8 +72,12 @@ class TestAuditCommand:
             ["audit", "--config", str(tiny_config), "--out", str(outdir)]
         )
         assert rc == 0
-        body = (outdir / "trajectory_0.csv").read_text()
-        assert body.startswith(",".join(TRAJECTORY_COLUMNS))
+        body = (outdir / "trajectory_0.csv").read_bytes()
+        assert body.startswith(",".join(TRAJECTORY_COLUMNS).encode())
+        # the rows printed to stdout are the CSV file, byte for byte
+        printed = capsys.readouterr().out.splitlines(keepends=True)
+        rows = "".join(ln for ln in printed if not ln.startswith("#"))
+        assert rows.encode("utf-8") == body
 
     def test_deterministic_output(self, tiny_config, capsys):
         cli.main(["audit", "--config", str(tiny_config)])
@@ -233,6 +237,18 @@ class TestBoundCommand:
         assert rc == 0
         assert "conditions violated:" in capsys.readouterr().out
 
+    def test_nonpositive_factor_reports_conditions_violated(self, tiny_config, capsys):
+        # a bet this large turns some sampled factor 1 + lambda0 * E
+        # nonpositive, so no support bound b_minus > 0 exists
+        rc = cli.main(
+            ["bound", "--config", str(tiny_config), "--lambda", "5", "--moments-n", "400"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        b_minus = float(out.split("b_minus = ")[1].split()[0])
+        assert b_minus <= 0
+        assert "conditions violated:" in out
+
 
 class TestErrorMapping:
     def test_missing_config_exits_one(self, tmp_path, capsys):
@@ -247,3 +263,18 @@ class TestErrorMapping:
         bad.write_text(json.dumps(cfg), encoding="utf-8")
         rc = cli.main(["replicate", "--config", str(bad)])
         assert rc == 1
+
+    def test_unknown_config_key_exits_one(self, tiny_config, tmp_path, capsys):
+        # a key the schema does not list fails loudly instead of being ignored
+        cfg = json.loads(tiny_config.read_text())
+        cfg["anomaly_mode"] = "clamp"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = cli.main(["replicate", "--config", str(old)])
+        assert rc == 1
+        assert "anomaly_mode" in capsys.readouterr().err
+
+    def test_anomaly_mode_flag_is_gone(self, tiny_config):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["replicate", "--config", str(tiny_config), "--anomaly-mode", "clamp"])
+        assert exc.value.code == 1

@@ -165,7 +165,6 @@ class TestLoadConfig:
                 "replications": 3,
                 "master_seed": 99,
                 "lambda0": 0.25,
-                "anomaly_mode": "clamp",
             },
         )
         assert cfg.policy.kind == "random"
@@ -175,7 +174,6 @@ class TestLoadConfig:
         assert cfg.replications == 3
         assert cfg.master_seed == 99
         assert cfg.schedule == LambdaSchedule.constant(0.25)
-        assert cfg.anomaly_mode == "clamp"
 
     def test_schedule_override_to_calibrate(self, configs_dir):
         # default.json ships a holdout corpus, so calibrate mode is legal
@@ -301,6 +299,23 @@ class TestReplicationPlumbing:
             assert q["q25"] <= q["q50"] <= q["q75"]
         else:
             assert agg["tau_quantiles"] is None
+        # every audit ends one way: flagged, out of steps, or aborted on a
+        # nonpositive factor; a bet this large aborts faithful audits
+        aborting = run_replications(
+            self._tiny_config(
+                vocab_tiny,
+                policy=PolicySpec.faithful(),
+                schedule=LambdaSchedule.constant(0.9),
+                alpha=1e-6,
+                max_steps=300,
+                replications=6,
+            )
+        ).aggregates()
+        assert aborting["anomalies"] > 0
+        assert (
+            aborting["flag_count"] + aborting["censored"] + aborting["anomalies"]
+            == aborting["completed"]
+        )
 
     def test_write_outputs_byte_identical(self, vocab_tiny, tmp_path):
         out_a = tmp_path / "a"
