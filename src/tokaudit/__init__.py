@@ -64,7 +64,6 @@ from .tokenspace import (
     Vocabulary,
     count_tokenizations,
     enumerate_tokenizations,
-    is_string_prefix,
     min_tokens_to_complete,
     pair_splits,
     str_of,

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .audit import detection_time_bound, run_audit
@@ -25,6 +25,7 @@ from .errors import (
 )
 from .harness import (
     CALIBRATION_STREAM,
+    OVERRIDES,
     RunConfig,
     calibrate,
     load_config,
@@ -61,8 +62,10 @@ def _add_common(sub):
     sub.add_argument("--schedule", choices=["constant", "decreasing", "calibrate"])
     sub.add_argument("--max-steps", type=int)
     sub.add_argument("--replications", type=int)
-    sub.add_argument("--seed", type=int, help="master seed (beats TOKEN_AUDIT_SEED)")
-    sub.add_argument("--out", help="output directory")
+    sub.add_argument(
+        "--seed", dest="master_seed", type=int, help="master seed (beats TOKEN_AUDIT_SEED)"
+    )
+    sub.add_argument("--out", dest="out_dir", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,22 +102,11 @@ def _overrides(args) -> dict:
             out["master_seed"] = int(env_seed)
         except ValueError:
             raise InputError(f"TOKEN_AUDIT_SEED is not an integer: {env_seed!r}")
-    for key, name in [
-        ("alpha", "alpha"),
-        ("policy", "policy"),
-        ("m", "m"),
-        ("p", "p"),
-        ("lambda0", "lambda0"),
-        ("schedule", "schedule"),
-        ("max_steps", "max_steps"),
-        ("replications", "replications"),
-        ("out", "out_dir"),
-    ]:
-        val = getattr(args, key, None)
+    # argparse dests are the override keys, so a flag given beats the env seed
+    for key in OVERRIDES:
+        val = getattr(args, key)
         if val is not None:
-            out[name] = val
-    if getattr(args, "seed", None) is not None:
-        out["master_seed"] = args.seed
+            out[key] = val
     return out
 
 
@@ -190,18 +182,8 @@ def _cmd_oracle(config: RunConfig, moments_n: int) -> int:
         }
     moments = _moments(config, moments_n)
     report["intensity"] = exact_intensity(config.policy, config.model, config.corpus)
-    report["policy"] = {"kind": config.policy.kind, "m": config.policy.m, "p": config.policy.p}
-    report["moments"] = {
-        "mean": moments.mean,
-        "variance": moments.variance,
-        "se": moments.se,
-        "n": moments.n,
-        "min_evidence": moments.min_evidence,
-        "max_evidence": moments.max_evidence,
-        "lambda0": moments.lambda0,
-        "empirical_b_minus": moments.empirical_b_minus,
-        "empirical_b_plus": moments.empirical_b_plus,
-    }
+    report["policy"] = asdict(config.policy)
+    report["moments"] = asdict(moments)
     payload = json.dumps(report, indent=2, sort_keys=True)
     if config.out_dir:
         out = Path(config.out_dir)

@@ -14,14 +14,7 @@ class InputError(TokenAuditError):
 
 
 class ResourceLimitError(TokenAuditError):
-    """An enumeration grew past its cap.
-
-    partial_count holds how far the enumeration got before giving up.
-    """
-
-    def __init__(self, message: str, partial_count: int | None = None):
-        super().__init__(message)
-        self.partial_count = partial_count
+    """An enumeration grew past its cap."""
 
 
 class InvariantViolation(TokenAuditError):

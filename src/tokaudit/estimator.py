@@ -64,17 +64,6 @@ class TruncationDist:
             return (1.0 - self.param) ** (k - 1)
         return 1.0 if k <= int(self.param) else 0.0
 
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        if self.kind == "poisson":
-            return math.exp(-self.param + k * math.log(self.param) - math.lgamma(k + 1))
-        if self.kind == "geometric":
-            if k < 1:
-                return 0.0
-            return (1.0 - self.param) ** (k - 1) * self.param
-        return 1.0 if k == int(self.param) else 0.0
-
     def sample(self, rng) -> int:
         if self.kind == "poisson":
             return int(rng.poisson(self.param))

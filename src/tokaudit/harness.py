@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -133,43 +133,78 @@ class RunConfig:
                 )
 
 
-# config file schema, version 1: a JSON object with these keys and no
-# others. Paths are resolved relative to the config file's directory.
+# config file schema, version 1: section -> key -> (type, default). The
+# "config" section holds the top-level keys; the others are the JSON objects
+# of the same name. A key not listed here is an error at every level. Path
+# values resolve relative to the config file's directory; value ranges are
+# checked by the objects the sections build.
+REQUIRED = object()
 CONFIG_SCHEMA = {
+    "config": {
+        "alpha": (float, 0.05),
+        "max_steps": (int, 100),
+        "replications": (int, 150),
+        "master_seed": (int, REQUIRED),
+        "corpus": (Path, REQUIRED),
+        "out_dir": (str, None),
+    },
     "model": {
-        "seed": "int, required",
-        "vocab": "path to a vocabulary JSON, required",
-        "context_window": "int >= 0, default 2",
-        "temperature": "float > 0, default 1.0",
-        "eos_boost": "float >= 0, default 0.35",
-        "max_len": "int >= 1, default 16",
+        "seed": (int, REQUIRED),
+        "vocab": (Path, REQUIRED),
+        "context_window": (int, 2),
+        "temperature": (float, 1.0),
+        "eos_boost": (float, 0.35),
+        "max_len": (int, 16),
     },
-    "policy": {"kind": "faithful | random | heuristic", "m": "int >= 0", "p": "(0, 1)"},
-    "schedule": 'either {"kind": "constant" | "decreasing", "lambda0": float} or "calibrate"',
+    "policy": {"kind": (str, "faithful"), "m": (int, 0), "p": (float, None)},
+    # the whole section may instead be the string "calibrate", the default
+    "schedule": {"kind": (str, "constant"), "lambda0": (float, REQUIRED)},
     "calibration": {
-        "corpus": "path to the holdout prompts",
-        "n_holdout": "int >= 1, default 400",
-        "safety": "(0, 1], default 0.9",
-        "cap": "float > 0, default 1.0",
+        "corpus": (Path, None),
+        "n_holdout": (int, 400),
+        "safety": (float, 0.9),
+        "cap": (float, 1.0),
     },
-    "alpha": "float in (0, 1), default 0.05",
-    "truncation": {"kind": "poisson | geometric | deterministic", "param": "float, default poisson 7.0"},
-    "max_steps": "int >= 1, default 100",
-    "replications": "int >= 1, default 150",
-    "master_seed": "int, required (env TOKEN_AUDIT_SEED and --seed override)",
-    "corpus": "path to the audit prompts, required",
-    "out_dir": "directory for trajectory CSVs and summary JSON, optional",
+    "truncation": {"kind": (str, "poisson"), "param": (float, 7.0)},
+}
+
+# flat override key -> (section, key), applied in this order: a schedule
+# override lands before a lambda0 override
+OVERRIDES = {
+    "policy": ("policy", "kind"),
+    "m": ("policy", "m"),
+    "p": ("policy", "p"),
+    "schedule": ("schedule", "kind"),
+    "lambda0": ("schedule", "lambda0"),
+    **{
+        key: ("config", key)
+        for key in ("alpha", "max_steps", "replications", "master_seed", "out_dir")
+    },
 }
 
 
-def _require(cfg: dict, key: str, path):
-    if key not in cfg:
-        raise InputError(f"{path}: missing required config key {key!r}")
-    return cfg[key]
+def _section(raw, name: str, path: Path, base: Path) -> dict:
+    """Check one section against CONFIG_SCHEMA and return its typed values."""
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: {name} must be a JSON object")
+    schema = CONFIG_SCHEMA[name]
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise InputError(f"{path}: unknown keys {unknown} in {name}")
+    out = {}
+    for key, (typ, default) in schema.items():
+        value = raw.get(key, default)
+        if value is REQUIRED:
+            raise InputError(f"{path}: missing required key {key!r} in {name}")
+        # null passes through only where null is the default
+        if value is not None or default is not None:
+            value = base / typ(value) if typ is Path else typ(value)
+        out[key] = value
+    return out
 
 
 def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
-    """Parse a config file and apply flat override keys on top of it."""
+    """Parse a config file and apply flat override keys (see OVERRIDES) on top of it."""
     path = Path(path)
     try:
         cfg = json.loads(path.read_text(encoding="utf-8"))
@@ -179,94 +214,47 @@ def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
         raise InputError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(cfg, dict):
         raise InputError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(cfg) - set(CONFIG_SCHEMA))
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(OVERRIDES))
     if unknown:
-        raise InputError(f"{path}: unknown config keys {unknown}")
-    overrides = dict(overrides or {})
+        raise InputError(f"unknown overrides {unknown}")
+    raw = {name: cfg.get(name, {}) for name in CONFIG_SCHEMA}
+    # the top-level keys, and a literal "config" key, which is unknown there
+    raw["config"] = {k: v for k, v in cfg.items() if k == "config" or k not in CONFIG_SCHEMA}
+    raw["schedule"] = cfg.get("schedule", "calibrate")
     base = path.parent
 
-    def respath(p):
-        p = Path(p)
-        return p if p.is_absolute() else base / p
+    def section(name):
+        return _section(raw[name], name, path, base)
 
     try:
-        mraw = _require(cfg, "model", path)
-        model = ModelSpec(
-            seed=int(_require(mraw, "seed", path)),
-            vocab=load_vocabulary(respath(_require(mraw, "vocab", path))),
-            context_window=int(mraw.get("context_window", 2)),
-            temperature=float(mraw.get("temperature", 1.0)),
-            eos_boost=float(mraw.get("eos_boost", 0.35)),
-            max_len=int(mraw.get("max_len", 16)),
-        )
-
-        praw = dict(cfg.get("policy", {"kind": "faithful"}))
-        if "policy" in overrides:
-            praw["kind"] = overrides["policy"]
-        if "m" in overrides:
-            praw["m"] = overrides["m"]
-        if "p" in overrides:
-            praw["p"] = overrides["p"]
-        policy = PolicySpec(
-            kind=praw.get("kind", "faithful"),
-            m=int(praw.get("m", 0)),
-            p=float(praw["p"]) if praw.get("p") is not None else None,
-        )
-
-        sraw = cfg.get("schedule", "calibrate")
-        if "schedule" in overrides:
-            kind = overrides["schedule"]
-            sraw = "calibrate" if kind == "calibrate" else {
-                "kind": kind,
-                "lambda0": (sraw or {}).get("lambda0") if isinstance(sraw, dict) else None,
-            }
-        if "lambda0" in overrides:
-            if sraw == "calibrate" or not isinstance(sraw, dict):
-                sraw = {"kind": "constant"}
-            sraw = {**sraw, "lambda0": overrides["lambda0"]}
-        if sraw == "calibrate":
-            schedule = None
-        elif isinstance(sraw, dict):
-            if sraw.get("lambda0") is None:
-                raise InputError(f"{path}: schedule needs a lambda0")
-            schedule = LambdaSchedule(
-                kind=sraw.get("kind", "constant"), lambda0=float(sraw["lambda0"])
-            )
-        else:
-            raise InputError(f"{path}: schedule must be an object or \"calibrate\"")
-
-        craw = cfg.get("calibration", {})
-        holdout = None
-        if craw.get("corpus"):
-            holdout = load_corpus(respath(craw["corpus"]))
-
-        traw = cfg.get("truncation", {"kind": "poisson", "param": 7.0})
-        trunc = TruncationDist(kind=traw.get("kind", "poisson"), param=float(traw.get("param", 7.0)))
-
-        seed = int(cfg.get("master_seed", _require(cfg, "master_seed", path)))
-        if "master_seed" in overrides:
-            seed = int(overrides["master_seed"])
-
-        out_dir = overrides.get("out_dir", cfg.get("out_dir"))
+        for flat, (name, key) in OVERRIDES.items():
+            if flat == "schedule" and overrides.get(flat) == "calibrate":
+                raw[name] = "calibrate"
+            elif flat in overrides:
+                old = {} if raw[name] == "calibrate" else raw[name]
+                raw[name] = {**old, key: overrides[flat]}
+        model = section("model")
+        policy = PolicySpec(**section("policy"))
+        schedule = None
+        if raw["schedule"] != "calibrate":
+            schedule = LambdaSchedule(**section("schedule"))
+        calib = section("calibration")
+        top = section("config")
         return RunConfig(
-            model=model,
+            model=ModelSpec(**{**model, "vocab": load_vocabulary(model["vocab"])}),
             policy=policy,
-            alpha=float(overrides.get("alpha", cfg.get("alpha", 0.05))),
-            trunc=trunc,
-            max_steps=int(overrides.get("max_steps", cfg.get("max_steps", 100))),
-            replications=int(overrides.get("replications", cfg.get("replications", 150))),
-            master_seed=seed,
-            corpus=load_corpus(respath(_require(cfg, "corpus", path))),
             schedule=schedule,
-            holdout=holdout,
-            n_holdout=int(craw.get("n_holdout", 400)),
-            safety=float(craw.get("safety", 0.9)),
-            lambda_cap=float(craw.get("cap", 1.0)),
-            out_dir=str(out_dir) if out_dir is not None else None,
+            holdout=None if calib["corpus"] is None else load_corpus(calib["corpus"]),
+            trunc=TruncationDist(**section("truncation")),
+            n_holdout=calib["n_holdout"],
+            safety=calib["safety"],
+            lambda_cap=calib["cap"],
+            **{**top, "corpus": load_corpus(top["corpus"])},
         )
+    except DomainError:
+        raise
     except (TypeError, ValueError) as err:
-        if isinstance(err, InputError) or isinstance(err, DomainError):
-            raise
         raise InputError(f"{path}: bad config value ({err})") from err
 
 
@@ -475,10 +463,10 @@ def summary_dict(config: RunConfig, summary: ReplicationSummary) -> dict:
                 "eos_boost": config.model.eos_boost,
                 "max_len": config.model.max_len,
             },
-            "policy": {"kind": config.policy.kind, "m": config.policy.m, "p": config.policy.p},
+            "policy": asdict(config.policy),
             "schedule": {"kind": summary.schedule_kind, "lambda0": summary.lam},
             "alpha": config.alpha,
-            "truncation": {"kind": config.trunc.kind, "param": config.trunc.param},
+            "truncation": asdict(config.trunc),
             "max_steps": config.max_steps,
             "replications": config.replications,
             "master_seed": config.master_seed,

@@ -37,10 +37,7 @@ def enumerate_output_distribution(
         logp = next_token_log_probs(spec, prompt, prefix)
         out.append((prefix, acc + float(logp[eos])))
         if len(out) > cap:
-            raise ResourceLimitError(
-                f"output tree for {prompt!r} exceeded {cap} sequences",
-                partial_count=len(out),
-            )
+            raise ResourceLimitError(f"output tree for {prompt!r} exceeded {cap} sequences")
         if len(prefix) == spec.max_len:
             return
         for t in spec.vocab.token_ids:

@@ -9,11 +9,8 @@ top-p plausibility check against the model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .tokenspace import TokenSeq, Vocabulary, pair_splits, valid_splits
@@ -141,31 +138,19 @@ def expected_extra_tokens(
     generated: TokenSeq,
     *,
     state_cap: int = 10_000,
-    rng=None,
-    mc_draws: int = 4096,
 ) -> float:
     """Expected reported-minus-generated length for one generated sequence.
 
     Exact for the faithful (zero) and heuristic (deterministic) policies.
-    For the random policy the split lattice is enumerated exactly up to
-    state_cap memoized states; beyond that a Monte Carlo fallback runs when
-    an rng is supplied, else the resource error propagates.
+    For the random policy the split lattice is enumerated exactly; past
+    state_cap memoized states it raises ResourceLimitError.
     """
     if policy.kind == "faithful":
         return 0.0
     if policy.kind == "heuristic":
         out = heuristic_split_policy(generated, policy.m, policy.p, spec, prompt)
         return float(len(out) - len(generated))
-    try:
-        return _random_extra_exact(tuple(generated), policy.m, spec.vocab, state_cap)
-    except ResourceLimitError:
-        if rng is None:
-            raise
-        draws = [
-            len(random_split_policy(generated, policy.m, spec.vocab, rng)) - len(generated)
-            for _ in range(mc_draws)
-        ]
-        return float(np.mean(draws))
+    return _random_extra_exact(tuple(generated), policy.m, spec.vocab, state_cap)
 
 
 def _random_extra_exact(seq: tuple, m: int, vocab: Vocabulary, state_cap: int) -> float:
@@ -179,10 +164,7 @@ def _random_extra_exact(seq: tuple, m: int, vocab: Vocabulary, state_cap: int) -
         if cached is not None:
             return cached
         if len(memo) >= state_cap:
-            raise ResourceLimitError(
-                f"random-policy split lattice exceeded {state_cap} states",
-                partial_count=len(memo),
-            )
+            raise ResourceLimitError(f"random-policy split lattice exceeded {state_cap} states")
         splits = valid_splits(s, vocab)
         if not splits:
             val = 0.0

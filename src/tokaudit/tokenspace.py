@@ -108,17 +108,6 @@ def str_of(seq: TokenSeq, vocab: Vocabulary) -> str:
     return "".join(parts)
 
 
-def is_string_prefix(seq: TokenSeq, next_id: int, target: str, vocab: Vocabulary) -> bool:
-    """True iff appending next_id keeps the sequence string a prefix of target.
-
-    Assumes str(seq) is already a prefix of target.
-    """
-    if next_id == vocab.eos_id:
-        raise DomainError("the EOS id has no string extension")
-    offset = len(str_of(seq, vocab))
-    return target.startswith(vocab.strings[next_id], offset)
-
-
 def pair_splits(token_id: int, vocab: Vocabulary) -> tuple:
     """All (left, right) id pairs whose strings concatenate to the token's string."""
     if not 0 <= token_id < vocab.size or token_id == vocab.eos_id:
@@ -161,10 +150,7 @@ def enumerate_tokenizations(target: str, vocab: Vocabulary, cap: int = 100_000) 
         if i == n:
             out.append(tuple(acc))
             if len(out) > cap:
-                raise ResourceLimitError(
-                    f"more than {cap} tokenizations of {target!r}",
-                    partial_count=len(out),
-                )
+                raise ResourceLimitError(f"more than {cap} tokenizations of {target!r}")
             return
         for t in matches[i]:
             acc.append(t)

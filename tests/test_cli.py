@@ -274,6 +274,17 @@ class TestErrorMapping:
         assert rc == 1
         assert "anomaly_mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [("schedule", "lamda0"), ("model", "max_length")])
+    def test_unknown_nested_key_exits_one(self, tiny_config, tmp_path, capsys, section, key):
+        # a misspelled key inside a section fails loudly instead of taking the default
+        cfg = json.loads(tiny_config.read_text())
+        cfg[section][key] = 0.5
+        typo = tmp_path / "typo.json"
+        typo.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = cli.main(["audit", "--config", str(typo)])
+        assert rc == 1
+        assert f"unknown keys {[key]} in {section}" in capsys.readouterr().err
+
     def test_anomaly_mode_flag_is_gone(self, tiny_config):
         with pytest.raises(SystemExit) as exc:
             cli.main(["replicate", "--config", str(tiny_config), "--anomaly-mode", "clamp"])

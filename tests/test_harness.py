@@ -21,6 +21,7 @@ from tokaudit import (
 )
 from tokaudit.harness import (
     CALIBRATION_STREAM,
+    CONFIG_SCHEMA,
     TRAJECTORY_COLUMNS,
     replication_rng,
     summary_dict,
@@ -225,6 +226,64 @@ class TestLoadConfig:
         )
         cfg = load_config(cfg_file)
         assert cfg.corpus.prompts == ("ab",)
+
+    def test_defaults_of_a_config_with_only_required_keys(self, tmp_path, data_dir):
+        (tmp_path / "c.txt").write_text("ab\n", encoding="utf-8")
+        (tmp_path / "h.txt").write_text("ba\n", encoding="utf-8")
+        cfg_file = tmp_path / "cfg.json"
+        # the calibration corpus is optional, but the default schedule needs it
+        cfg_file.write_text(
+            json.dumps(
+                {
+                    "model": {"seed": 1, "vocab": str(data_dir / "vocab_tiny.json")},
+                    "calibration": {"corpus": "h.txt"},
+                    "master_seed": 1,
+                    "corpus": "c.txt",
+                }
+            ),
+            encoding="utf-8",
+        )
+        cfg = load_config(cfg_file)
+        m = cfg.model
+        assert (m.eos_boost, m.max_len, m.context_window, m.temperature) == (0.35, 16, 2, 1.0)
+        assert cfg.policy == PolicySpec("faithful", m=0)
+        assert cfg.trunc == TruncationDist.poisson(7.0)
+        assert (cfg.alpha, cfg.max_steps, cfg.replications) == (0.05, 100, 150)
+        assert (cfg.n_holdout, cfg.safety, cfg.lambda_cap) == (400, 0.9, 1.0)
+        assert cfg.schedule is None  # calibrate
+        assert cfg.holdout.prompts == ("ba",)
+        assert cfg.out_dir is None
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("schedule", "lamda0"),
+            ("model", "max_length"),
+            ("policy", "q"),
+            ("calibration", "holdout"),
+            ("truncation", "rate"),
+        ],
+    )
+    def test_unknown_nested_key_rejected(self, configs_dir, tmp_path, section, key):
+        # a copy of certified.json with one misspelled key inside a section
+        cfg = json.loads((configs_dir / "certified.json").read_text(encoding="utf-8"))
+        cfg["model"]["vocab"] = str(configs_dir / cfg["model"]["vocab"])
+        cfg["corpus"] = str(configs_dir / cfg["corpus"])
+        cfg.setdefault(section, {})[key] = 0.5
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            load_config(p)
+        assert str(exc.value).endswith(f"unknown keys {[key]} in {section}")
+
+    def test_readme_config_shape_lists_the_schema_keys(self, configs_dir):
+        readme = (configs_dir.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config files", 1)[1].split("```json\n", 1)[1]
+        shape = json.loads(block.split("```", 1)[0])
+        sections = set(CONFIG_SCHEMA) - {"config"}
+        assert set(shape) == set(CONFIG_SCHEMA["config"]) | sections
+        for name in sections:
+            assert set(shape[name]) == set(CONFIG_SCHEMA[name]), name
 
 
 class TestReplicationPlumbing:

@@ -189,16 +189,3 @@ class TestExpectedExtraTokens:
             expected_extra_tokens(
                 PolicySpec.random(3), spec_abc, "ab", (5, 5, 5), state_cap=1
             )
-
-    def test_state_cap_falls_back_to_monte_carlo(self, spec_abc):
-        got = expected_extra_tokens(
-            PolicySpec.random(3),
-            spec_abc,
-            "ab",
-            (5, 5, 5),
-            state_cap=1,
-            rng=np.random.default_rng(3),
-            mc_draws=8000,
-        )
-        exact = expected_extra_tokens(PolicySpec.random(3), spec_abc, "ab", (5, 5, 5))
-        assert abs(got - exact) < 0.1

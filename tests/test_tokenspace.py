@@ -16,7 +16,6 @@ from tokaudit import (
     Vocabulary,
     count_tokenizations,
     enumerate_tokenizations,
-    is_string_prefix,
     min_tokens_to_complete,
     pair_splits,
     str_of,
@@ -74,21 +73,6 @@ class TestStrOf:
             str_of((99,), vocab_tiny)
 
 
-class TestIsStringPrefix:
-    def test_extends_prefix(self, vocab_tiny):
-        # seq "a" + token "b" = "ab", a prefix of "abb"
-        assert is_string_prefix((0,), 1, "abb", vocab_tiny)
-        # seq "a" + token "ab" = "aab" is not
-        assert not is_string_prefix((0,), 2, "abb", vocab_tiny)
-
-    def test_exact_completion_counts(self, vocab_tiny):
-        assert is_string_prefix((0,), 1, "ab", vocab_tiny)
-
-    def test_eos_rejected(self, vocab_tiny):
-        with pytest.raises(DomainError):
-            is_string_prefix((0,), vocab_tiny.eos_id, "ab", vocab_tiny)
-
-
 class TestSplits:
     def test_pair_splits_frozen(self, vocab_abc):
         # vocab_abc ids: a=0 b=1 c=2 ab=3 bc=4 abc=5
@@ -131,10 +115,8 @@ class TestEnumerateTokenizations:
         assert enumerate_tokenizations("xyz", vocab_tiny) == []
 
     def test_cap_enforced(self, vocab_tiny):
-        with pytest.raises(ResourceLimitError) as exc:
+        with pytest.raises(ResourceLimitError):
             enumerate_tokenizations("ab" * 10, vocab_tiny, cap=4)
-        assert exc.value.partial_count is not None
-        assert exc.value.partial_count > 4
 
     def test_cap_must_be_positive(self, vocab_tiny):
         with pytest.raises(DomainError):
