@@ -12,7 +12,7 @@ at any data-dependent stopping time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import ConditionsViolated, DomainError, TokenAuditError
@@ -72,11 +72,16 @@ class AnomalyRecord:
 
 @dataclass(frozen=True)
 class WealthState:
-    """Running state of the test process; log wealth is authoritative."""
+    """Running state of the test process; log wealth is authoritative.
+
+    history is one list shared along an audit: update_wealth appends each
+    step's record to it and hands it on, so a step costs the same however
+    late it comes, and earlier states see the later records too.
+    """
 
     step: int = 0
     log_wealth: float = 0.0
-    history: tuple = ()
+    history: list = field(default_factory=list)
     anomaly: Optional[AnomalyRecord] = None
 
     @property
@@ -109,7 +114,8 @@ def update_wealth(
     """Advance the wealth process by one evidence value.
 
     A nonpositive factor does not advance the process; the state comes back
-    with the anomaly attached and the audit ends there.
+    with the anomaly attached and the audit ends there. The record goes onto
+    state.history in place, so advance each state at most once.
     """
     i = state.step + 1
     lam = schedule.at(i)
@@ -127,10 +133,11 @@ def update_wealth(
         lam=lam,
         factor=factor,
     )
+    state.history.append(rec)
     return WealthState(
         step=i,
         log_wealth=state.log_wealth + math.log(factor),
-        history=state.history + (rec,),
+        history=state.history,
         anomaly=None,
     )
 
@@ -183,7 +190,7 @@ def run_audit(
     return AuditOutcome(
         flagged=flagged,
         tau=state.step if flagged else None,
-        trajectory=state.history,
+        trajectory=tuple(state.history),
         final_log_wealth=state.log_wealth,
         anomaly=state.anomaly,
     )
@@ -232,6 +239,8 @@ def calibration_report(
         raise DomainError("cap must be positive")
     if len(prompts) == 0:
         raise DomainError("holdout corpus is empty")
+    if rng is None:
+        raise DomainError("calibration_report needs an rng")
     es = []
     for _ in range(n_holdout):
         pid = int(rng.integers(len(prompts)))

@@ -10,11 +10,12 @@ top-p plausibility check against the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .errors import DomainError, ResourceLimitError
 from .tokenspace import TokenSeq, Vocabulary, pair_splits, valid_splits
-from .toymodel import ModelSpec, next_token_dist
+from .toymodel import ModelSpec, _check_prefix, _context, _step_table
 
 _KINDS = ("faithful", "random", "heuristic")
 
@@ -65,6 +66,13 @@ def top_p_set(dist, p: float) -> frozenset:
     return frozenset(out)
 
 
+@lru_cache(maxsize=65_536)
+def _top_p_at(spec: ModelSpec, prompt: str, ctx: tuple, prefix_len: int, p: float) -> frozenset:
+    """top_p_set of the next-token distribution at one conditioning context."""
+    probs, _, _ = _step_table(spec, prompt, ctx, prefix_len)
+    return top_p_set(probs, p)
+
+
 def random_split_policy(generated: TokenSeq, m: int, vocab: Vocabulary, rng) -> TokenSeq:
     """Apply up to m uniformly random string-preserving splits.
 
@@ -113,11 +121,13 @@ def heuristic_split_policy(
     out = tuple(seq)
     if out == tuple(generated):
         return tuple(generated)
-    for idx in range(len(out)):
+    for idx, t in enumerate(out):
         # past the length cap the distribution is an EOS point mass, so
-        # over-long modifications fail here and fall back
-        dist = next_token_dist(spec, prompt, out[:idx])
-        if out[idx] not in top_p_set(dist, p):
+        # over-long modifications fail here and fall back; the ids before
+        # idx - 1 were checked at the earlier steps
+        prefix = out[:idx]
+        _check_prefix(spec, prefix, start=max(idx - 1, 0))
+        if t not in _top_p_at(spec, prompt, _context(spec, prefix), idx, p):
             return tuple(generated)
     return out
 

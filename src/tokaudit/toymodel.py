@@ -19,7 +19,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,6 +47,22 @@ class ModelSpec:
             raise DomainError("context_window must be nonnegative")
         if self.eos_boost < 0:
             raise DomainError("eos_boost must be nonnegative")
+
+    # Every cache lookup hashes the spec, so the hash is computed once and kept
+    # outside the fields: repr and == ignore it, and pickles drop it because
+    # string hashes differ between processes.
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.seed, self.vocab, self.context_window, self.temperature,
+                     self.eos_boost, self.max_len))
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -110,13 +126,14 @@ def _context(spec: ModelSpec, prefix) -> tuple:
     return tuple(int(t) for t in prefix[-cw:])
 
 
-def _check_prefix(spec: ModelSpec, prefix):
+def _check_prefix(spec: ModelSpec, prefix, start: int = 0):
+    """Raise DomainError for an over-long prefix or a bad id from start on."""
     if len(prefix) > spec.max_len:
         raise DomainError(
             f"prefix of length {len(prefix)} exceeds max_len {spec.max_len}"
         )
     eos = spec.vocab.eos_id
-    for t in prefix:
+    for t in prefix[start:]:
         if not 0 <= t < spec.vocab.size or t == eos:
             raise DomainError(f"invalid token id {t} in prefix")
 
@@ -171,8 +188,14 @@ def sequence_log_prob(spec: ModelSpec, prompt: str, seq: TokenSeq) -> float:
     return total + float(logp[spec.vocab.eos_id])
 
 
-class _State:
-    __slots__ = ("ids", "advances", "cum", "log_z")
+class _Node:
+    """One sampler step: admissible ids and their masked CDF.
+
+    succ[j] is the node reached by taking ids[j], linked on first use. A
+    terminal node (the target complete) has ids None and log_z = log P(EOS).
+    """
+
+    __slots__ = ("key", "ids", "cum", "log_z", "succ")
 
 
 class ConstrainedSampler:
@@ -182,7 +205,9 @@ class ConstrainedSampler:
     prefix of the target AND still leave room to finish within max_len
     (checked against a minimal-completion table, so no path can dead-end
     at the length cap). EOS becomes admissible exactly at completion.
-    Step states are cached by (chars consumed, prefix length, context).
+    Step nodes are built lazily, once per (chars consumed, prefix length,
+    context), and linked to their successors the first time a draw takes
+    each edge, so a draw walks node to node with no per-step lookup.
     """
 
     def __init__(self, spec: ModelSpec, prompt: str, target: str):
@@ -194,32 +219,48 @@ class ConstrainedSampler:
             raise DomainError(
                 f"target {target!r} is not producible within max_len={spec.max_len}"
             )
-        self._states: dict = {}
+        self._nodes: dict = {}
+        self._root = None
 
-    def _state(self, consumed: int, plen: int, ctx: tuple) -> _State:
+    def _node(self, consumed: int, plen: int, ctx: tuple) -> _Node:
         key = (consumed, plen, ctx)
-        st = self._states.get(key)
-        if st is None:
-            st = self._build(consumed, plen, ctx)
-            self._states[key] = st
-        return st
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._build(consumed, plen, ctx)
+            node.key = key
+            self._nodes[key] = node
+        return node
 
-    def _build(self, consumed: int, plen: int, ctx: tuple) -> _State:
+    def _successor(self, node: _Node, j: int) -> _Node:
+        consumed, plen, ctx = node.key
+        t = node.ids[j]
+        cw = self.spec.context_window
+        nxt = self._node(
+            consumed + len(self.spec.vocab.strings[t]), plen + 1, (ctx + (t,))[-cw:] if cw else ()
+        )
+        node.succ[j] = nxt
+        return nxt
+
+    def _build(self, consumed: int, plen: int, ctx: tuple) -> _Node:
         spec = self.spec
         vocab = spec.vocab
         target = self.target
+        probs, logp, _ = _step_table(spec, self.prompt, ctx, plen)
+        node = _Node()
+        if consumed == len(target):
+            # completion: the mask leaves EOS alone, so the normalizer is P(EOS)
+            node.ids = None
+            node.log_z = float(logp[vocab.eos_id])
+            return node
         strings = vocab.strings
-        probs, _, _ = _step_table(spec, self.prompt, ctx, plen)
         min_left = self._min_left
         budget = spec.max_len - plen - 1  # tokens left after taking one more
         ids: list = []
-        advances: list = []
         weights: list = []
         for t in vocab.token_ids:
             s = strings[t]
             if target.startswith(s, consumed) and min_left[consumed + len(s)] <= budget:
                 ids.append(t)
-                advances.append(len(s))
                 weights.append(float(probs[t]))
         if not ids:
             raise InvariantViolation(
@@ -233,40 +274,31 @@ class ConstrainedSampler:
         for w in weights:
             acc += w
             cum.append(acc / z)
-        cum[-1] = 1.0
-        st = _State()
-        st.ids = ids
-        st.advances = advances
-        st.cum = cum
-        st.log_z = math.log(z)
-        return st
+        cum[-1] = 1.0  # rng.random() < 1, so bisect_right stays in range
+        node.ids = tuple(ids)  # tuples: no spare capacity in a lattice this large
+        node.cum = tuple(cum)
+        node.log_z = math.log(z)
+        node.succ = [None] * len(ids)
+        return node
 
     def sample(self, rng) -> ConstrainedSample:
-        spec = self.spec
-        cw = spec.context_window
-        n = len(self.target)
-        consumed = 0
+        node = self._root
+        if node is None:
+            node = self._root = self._node(0, 0, ())
         ids: list = []
         log_w = 0.0
-        while consumed < n:
-            ctx = tuple(ids[-cw:]) if cw else ()
-            st = self._state(consumed, len(ids), ctx)
-            j = bisect_right(st.cum, rng.random())
-            if j >= len(st.ids):
-                j = len(st.ids) - 1
-            log_w += st.log_z
-            consumed += st.advances[j]
-            ids.append(st.ids[j])
-        # completion: the mask leaves EOS alone, so the normalizer is P(EOS)
-        ctx = tuple(ids[-cw:]) if cw else ()
-        _, logp, _ = _step_table(spec, self.prompt, ctx, len(ids))
-        log_w += float(logp[spec.vocab.eos_id])
+        while node.ids is not None:
+            j = bisect_right(node.cum, rng.random())
+            log_w += node.log_z
+            ids.append(node.ids[j])
+            node = node.succ[j] or self._successor(node, j)
+        log_w += node.log_z
         return ConstrainedSample(seq=tuple(ids), log_weight=log_w)
 
 
 @lru_cache(maxsize=4096)
 def constrained_sampler(spec: ModelSpec, prompt: str, target: str) -> ConstrainedSampler:
-    """Shared sampler instance; its state cache is append-only, so reuse is safe."""
+    """Shared sampler instance; its node lattice only grows, so reuse is safe."""
     return ConstrainedSampler(spec, prompt, target)
 
 

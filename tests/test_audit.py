@@ -80,6 +80,15 @@ class TestUpdateWealth:
         assert s1.history[0].lam == 0.5
         assert s2.history[1].lam == 0.25
 
+    def test_long_audit_history_in_step_order(self):
+        sched = LambdaSchedule.decreasing(0.5)
+        state = WealthState()
+        for i in range(20_000):
+            state = update_wealth(state, 0.25 if i % 2 else -0.25, sched)
+        assert state.step == 20_000
+        assert len(state.history) == 20_000
+        assert [rec.step for rec in state.history] == list(range(1, 20_001))
+
 
 @pytest.fixture(scope="module")
 def audit_setup():
@@ -174,6 +183,14 @@ class TestRunAudit:
             assert out.anomaly.factor <= 0.0
             assert len(out.trajectory) == out.anomaly.step - 1
 
+    def test_trajectory_is_a_tuple(self, audit_setup):
+        # the benchmark fingerprints repr(trajectory)
+        spec, prompts, trunc = audit_setup
+        out = run_audit(spec, PolicySpec.faithful(), prompts, LambdaSchedule.constant(0.05),
+                        0.05, trunc, 30, np.random.default_rng(4))
+        assert type(out.trajectory) is tuple
+        assert [rec.step for rec in out.trajectory] == list(range(1, len(out.trajectory) + 1))
+
     def test_validation_errors(self, audit_setup):
         spec, prompts, trunc = audit_setup
         sched = LambdaSchedule.constant(0.1)
@@ -231,6 +248,11 @@ class TestCalibration:
             calibration_report(spec, prompts, trunc, 10, cap=0.0, rng=rng)
         with pytest.raises(DomainError):
             calibration_report(spec, (), trunc, 10, rng=rng)
+
+    def test_missing_rng_is_a_domain_error(self, audit_setup):
+        spec, prompts, trunc = audit_setup
+        with pytest.raises(DomainError, match="rng"):
+            calibration_report(spec, prompts, trunc, 10)
 
 
 class TestDetectionTimeBound:

@@ -1,6 +1,7 @@
 """Reporting-policy tests: string preservation, split selection, top-p
 verification, and the exact split-lattice expectation."""
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,12 +15,19 @@ from tokaudit import (
     ResourceLimitError,
     Vocabulary,
     apply_policy,
+    enumerate_output_distribution,
     expected_extra_tokens,
     heuristic_split_policy,
+    load_config,
+    next_token_dist,
+    pair_splits,
     random_split_policy,
     str_of,
     top_p_set,
 )
+from tokaudit import policies
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestPolicySpec:
@@ -126,6 +134,70 @@ class TestHeuristicSplitPolicy:
         seq = (0, 0, 1)
         out = heuristic_split_policy(seq, 4, 0.5, spec_abc, "ab")
         assert out == seq
+
+
+def _heuristic_by_definition(generated, m, p, spec, prompt):
+    """The heuristic policy with its verification written as defined: the
+    top-p set of next_token_dist, recomputed at every position."""
+    vocab = spec.vocab
+    seq = list(generated)
+    if not seq:
+        return tuple(generated)
+    for _ in range(m):
+        i = max(range(len(seq)), key=lambda j: (seq[j], -j))
+        if len(vocab.strings[seq[i]]) == 1:
+            break
+        pairs = pair_splits(seq[i], vocab)
+        if not pairs:
+            break
+        best = max(pairs, key=lambda ab: (min(ab), -ab[0], -ab[1]))
+        seq[i : i + 1] = best
+    out = tuple(seq)
+    if out == tuple(generated):
+        return tuple(generated)
+    for idx in range(len(out)):
+        if out[idx] not in top_p_set(next_token_dist(spec, prompt, out[:idx]), p):
+            return tuple(generated)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as err:
+        return ("DomainError", str(err))
+
+
+class TestHeuristicMatchesDefinition:
+    def test_every_output_of_the_heuristic_config(self):
+        cfg = load_config(CONFIGS / "heuristic.json")
+        spec, policy = cfg.model, cfg.policy
+        assert spec.max_len == 6
+        kept = changed = 0
+        for prompt in cfg.corpus.prompts:
+            for seq, _ in enumerate_output_distribution(spec, prompt).entries:
+                for p in (policy.p, 0.9, 0.5):
+                    got = heuristic_split_policy(seq, policy.m, p, spec, prompt)
+                    assert got == _heuristic_by_definition(seq, policy.m, p, spec, prompt)
+                    changed += got != seq
+                    kept += got == seq
+        assert kept and changed  # both verification outcomes are exercised
+
+    def test_invalid_ids_raise_where_next_token_dist_raises(self):
+        # EOS first in the vocabulary, so a split sequence can carry it into
+        # a prefix; with p near 1 every id passes the top-p check
+        vocab = Vocabulary(strings=("", "a", "b", "ab"), eos_id=0)
+        spec = ModelSpec(seed=3, vocab=vocab, max_len=2)
+        raised = 0
+        for seq in [(0, 3), (3, 0, 3), (1, 1, 0, 3), (1, 0, 0, 3), (3, 1, 2)]:
+            got = _outcome(heuristic_split_policy, seq, 2, 1 - 1e-12, spec, "ab")
+            assert got == _outcome(_heuristic_by_definition, seq, 2, 1 - 1e-12, spec, "ab")
+            raised += got[0] == "DomainError"
+        assert raised
+
+    def test_top_p_cache_is_bounded(self):
+        maxsize = policies._top_p_at.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
 
 class TestApplyPolicy:

@@ -5,6 +5,11 @@ log_weight must equal both the sum of step normalizers and the gap
 between the free-model path probability and the masked path probability.
 """
 import math
+import os
+import pickle
+import subprocess
+import sys
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -12,9 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokaudit import (
+    ConstrainedSample,
     DomainError,
     ModelSpec,
+    TruncationDist,
     Vocabulary,
+    estimate_length,
     masked_path_log_prob,
     next_token_dist,
     next_token_log_probs,
@@ -23,6 +31,9 @@ from tokaudit import (
     sequence_log_prob,
     str_of,
 )
+from tokaudit import estimator
+from tokaudit.tokenspace import min_tokens_to_complete
+from tokaudit.toymodel import _step_table
 
 
 class TestModelSpecValidation:
@@ -37,6 +48,44 @@ class TestModelSpecValidation:
     def test_rejects_bad_context_window(self, vocab_tiny):
         with pytest.raises(DomainError):
             ModelSpec(seed=1, vocab=vocab_tiny, context_window=-1)
+
+
+class TestModelSpecHash:
+    def test_cached_hash_stays_out_of_repr_and_eq(self, vocab_tiny):
+        a = ModelSpec(seed=1, vocab=vocab_tiny)
+        b = ModelSpec(seed=1, vocab=vocab_tiny)
+        hash(a)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert "_hash" not in repr(a)
+        assert a != ModelSpec(seed=2, vocab=vocab_tiny)
+
+    def test_pickle_round_trip_recomputes_hash(self, vocab_tiny):
+        spec = ModelSpec(seed=1, vocab=vocab_tiny, max_len=5)
+        hash(spec)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec)
+        assert "_hash" not in spec.__getstate__()
+
+    def test_pickle_from_another_hash_seed(self, vocab_tiny):
+        # string hashes differ between processes, so a hash carried in the
+        # pickle would break dict lookups here
+        code = (
+            "import pickle, sys\n"
+            "from tokaudit import ModelSpec, Vocabulary\n"
+            "spec = ModelSpec(seed=1, vocab=Vocabulary.from_tokens(['a', 'b', 'ab']))\n"
+            "hash(spec)\n"
+            "sys.stdout.buffer.write(pickle.dumps(spec))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        blob = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, check=True).stdout
+        back = pickle.loads(blob)
+        here = ModelSpec(seed=1, vocab=vocab_tiny)
+        assert back == here and hash(back) == hash(here)
+        assert {here: 1}[back] == 1
 
 
 class TestNextTokenDist:
@@ -184,3 +233,111 @@ class TestConstrainedSampling:
         assert math.isclose(cs.log_weight, log_z_sum, abs_tol=1e-12)
         model_lp = sequence_log_prob(spec, "ab", cs.seq)
         assert math.isclose(cs.log_weight, model_lp - masked_lp, abs_tol=1e-12)
+
+
+class _ReferenceSampler:
+    """The dict-keyed sampler that linked nodes replaced: every step rebuilds
+    its context tuple and looks its state up, and P(EOS) is read from the
+    step table at the end."""
+
+    def __init__(self, spec, prompt, target):
+        self.spec = spec
+        self.prompt = prompt
+        self.target = target
+        self._min_left = min_tokens_to_complete(target, spec.vocab)
+        self._states = {}
+
+    def _state(self, consumed, plen, ctx):
+        key = (consumed, plen, ctx)
+        st = self._states.get(key)
+        if st is None:
+            st = self._states[key] = self._build(consumed, plen, ctx)
+        return st
+
+    def _build(self, consumed, plen, ctx):
+        spec = self.spec
+        strings = spec.vocab.strings
+        probs, _, _ = _step_table(spec, self.prompt, ctx, plen)
+        budget = spec.max_len - plen - 1
+        ids, advances, weights = [], [], []
+        for t in spec.vocab.token_ids:
+            s = strings[t]
+            if self.target.startswith(s, consumed) and self._min_left[consumed + len(s)] <= budget:
+                ids.append(t)
+                advances.append(len(s))
+                weights.append(float(probs[t]))
+        z = math.fsum(weights)
+        cum = []
+        acc = 0.0
+        for w in weights:
+            acc += w
+            cum.append(acc / z)
+        cum[-1] = 1.0
+        return ids, advances, cum, math.log(z)
+
+    def sample(self, rng):
+        cw = self.spec.context_window
+        consumed = 0
+        ids = []
+        log_w = 0.0
+        while consumed < len(self.target):
+            ctx = tuple(ids[-cw:]) if cw else ()
+            st_ids, advances, cum, log_z = self._state(consumed, len(ids), ctx)
+            j = bisect_right(cum, rng.random())
+            if j >= len(st_ids):
+                j = len(st_ids) - 1
+            log_w += log_z
+            consumed += advances[j]
+            ids.append(st_ids[j])
+        ctx = tuple(ids[-cw:]) if cw else ()
+        _, logp, _ = _step_table(self.spec, self.prompt, ctx, len(ids))
+        log_w += float(logp[self.spec.vocab.eos_id])
+        return ConstrainedSample(seq=tuple(ids), log_weight=log_w)
+
+
+def _stream_cases(vocab_tiny, vocab_abc, vocab_default):
+    default = ModelSpec(seed=20240, vocab=vocab_default, context_window=2,
+                        temperature=1.25, eos_boost=0.45, max_len=16)
+    return [
+        # the length cap bites: "abab" needs at least 2 of at most 4 tokens
+        (ModelSpec(seed=7, vocab=vocab_tiny, context_window=2, max_len=4), "ab", ["abab"]),
+        (ModelSpec(seed=11, vocab=vocab_abc, context_window=2, eos_boost=0.3, max_len=8),
+         "abc", ["abcab", "cabc", "abc"]),
+        (default, "beast", ["tabbest", "setbeat", "a"]),
+    ]
+
+
+class TestDrawStreamPinned:
+    """Linked sampler nodes draw the same tokens, weights and RNG stream
+    as the dict-keyed sampler, bit for bit."""
+
+    def test_sample_constrained_matches_reference(self, vocab_tiny, vocab_abc, vocab_default):
+        for spec, prompt, targets in _stream_cases(vocab_tiny, vocab_abc, vocab_default):
+            for target in targets:
+                ref = _ReferenceSampler(spec, prompt, target)
+                rng_new = np.random.default_rng(2024)
+                rng_ref = np.random.default_rng(2024)
+                for _ in range(2000):
+                    got = sample_constrained(spec, prompt, target, rng_new)
+                    want = ref.sample(rng_ref)
+                    assert got.seq == want.seq
+                    assert got.log_weight == want.log_weight
+                assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_estimate_length_matches_reference(self, monkeypatch, vocab_tiny, vocab_abc,
+                                               vocab_default):
+        trunc = TruncationDist.poisson(7.0)
+        cases = _stream_cases(vocab_tiny, vocab_abc, vocab_default)
+
+        def values():
+            out = []
+            for spec, prompt, targets in cases:
+                for target in targets:
+                    rng = np.random.default_rng(99)
+                    out += [estimate_length(spec, prompt, target, trunc, rng).value
+                            for _ in range(50)]
+            return out
+
+        got = values()
+        monkeypatch.setattr(estimator, "constrained_sampler", _ReferenceSampler)
+        assert got == values()
