@@ -47,6 +47,7 @@ from .oracle import (
     EnumeratedDistribution,
     EvidenceMoments,
     conditional_expected_length,
+    conditional_expected_lengths,
     enumerate_output_distribution,
     evidence_moments,
     exact_intensity,

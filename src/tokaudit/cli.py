@@ -34,14 +34,16 @@ from .harness import (
     run_replications,
     write_trajectory_csv,
 )
+# conditional_expected_length is unused here, but perfbench/spans.py wraps
+# cli.conditional_expected_length by attribute, so traced runs need it
 from .oracle import (
     conditional_expected_length,
+    conditional_expected_lengths,
     enumerate_output_distribution,
     evidence_moments,
     exact_intensity,
 )
 from .policies import PolicySpec
-from .tokenspace import str_of
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,14 +173,13 @@ def _cmd_oracle(config: RunConfig, moments_n: int) -> int:
     report: dict = {"prompts": {}}
     for pid, prompt in enumerate(config.corpus):
         dist = enumerate_output_distribution(config.model, prompt)
-        strings = sorted({str_of(seq, config.model.vocab) for seq, _ in dist.entries})
         report["prompts"][str(pid)] = {
             "prompt": prompt,
             "support_size": len(dist.entries),
             "total_mass": dist.total_mass,
-            "conditional_expected_length": {
-                s: conditional_expected_length(config.model, prompt, s) for s in strings
-            },
+            "conditional_expected_length": conditional_expected_lengths(
+                dist, config.model.vocab
+            ),
         }
     moments = _moments(config, moments_n)
     report["intensity"] = exact_intensity(config.policy, config.model, config.corpus)

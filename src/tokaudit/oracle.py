@@ -1,7 +1,7 @@
 """Exact brute-force references for every audited expectation, at toy scale.
 
-Everything here is slow and exhaustive on purpose: enumerate, sum, compare.
-The sampling-based machinery is tested against these references.
+Everything here is exhaustive: enumerate, sum, compare. The sampling-based
+machinery is tested against these references.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .estimator import TruncationDist, estimate_length
 from .policies import PolicySpec, apply_policy, expected_extra_tokens
-from .tokenspace import enumerate_tokenizations, str_of
-from .toymodel import ModelSpec, next_token_log_probs, sample_sequence, sequence_log_prob
+from .tokenspace import Vocabulary, enumerate_tokenizations, str_of
+from .toymodel import ModelSpec, _step_table, sample_sequence, sequence_log_prob
 
 
 @dataclass(frozen=True)
@@ -29,23 +29,46 @@ class EnumeratedDistribution:
 def enumerate_output_distribution(
     spec: ModelSpec, prompt: str, cap: int = 100_000
 ) -> EnumeratedDistribution:
-    """Every sequence the model can emit, with its exact log probability."""
-    eos = spec.vocab.eos_id
-    out: list = []
+    """Every sequence the model can emit, with its exact log probability.
 
-    def walk(prefix: tuple, acc: float):
-        logp = next_token_log_probs(spec, prompt, prefix)
-        out.append((prefix, acc + float(logp[eos])))
+    Entries are in preorder: a prefix, then its extensions by ascending id.
+    Each log probability is summed left to right, as sequence_log_prob does.
+    """
+    eos = spec.vocab.eos_id
+    cw = spec.context_window
+    out: list = []
+    # explicit stack, children pushed in descending id so they pop ascending
+    children = spec.vocab.token_ids[::-1]
+    stack = [((), 0.0)]
+    while stack:
+        prefix, acc = stack.pop()
+        ctx = prefix[-cw:] if cw else ()
+        logp = _step_table(spec, prompt, ctx, len(prefix))[1].tolist()
+        out.append((prefix, acc + logp[eos]))
         if len(out) > cap:
             raise ResourceLimitError(f"output tree for {prompt!r} exceeded {cap} sequences")
-        if len(prefix) == spec.max_len:
-            return
-        for t in spec.vocab.token_ids:
-            walk(prefix + (t,), acc + float(logp[t]))
-
-    walk((), 0.0)
+        if len(prefix) < spec.max_len:
+            stack.extend((prefix + (t,), acc + logp[t]) for t in children)
     total = math.fsum(math.exp(lp) for _, lp in out)
     return EnumeratedDistribution(entries=tuple(out), total_mass=total)
+
+
+def conditional_expected_lengths(dist: EnumeratedDistribution, vocab: Vocabulary) -> dict:
+    """conditional_expected_length for every string of an output law.
+
+    The law holds every tokenization within max_len with the log probability
+    sequence_log_prob gives it, and fsum ignores order, so each value equals
+    the per-string reference exactly.
+    """
+    groups: dict = {}
+    for seq, lp in dist.entries:
+        groups.setdefault(str_of(seq, vocab), []).append((lp, len(seq)))
+    out = {}
+    for s, group in groups.items():
+        shift = max(lp for lp, _ in group)
+        ws = [(math.exp(lp - shift), n) for lp, n in group]
+        out[s] = math.fsum(w * n for w, n in ws) / math.fsum(w for w, _ in ws)
+    return out
 
 
 def conditional_expected_length(
@@ -54,7 +77,9 @@ def conditional_expected_length(
     """Exact mean tokenization length of target under the model, given target.
 
     Enumerates all tokenizations that fit within max_len and takes the
-    probability-weighted mean of their lengths in shifted log space.
+    probability-weighted mean of their lengths in shifted log space. This is
+    the per-string reference that tests compare conditional_expected_lengths
+    and the estimator against.
     """
     toks = enumerate_tokenizations(target, spec.vocab, cap)
     feasible = [t for t in toks if len(t) <= spec.max_len]

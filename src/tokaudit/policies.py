@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import DomainError, ResourceLimitError
 from .tokenspace import TokenSeq, Vocabulary, pair_splits, valid_splits
-from .toymodel import ModelSpec, _check_prefix, _context, _step_table
+from .toymodel import ModelSpec, _check_prefix, _step_table
 
 _KINDS = ("faithful", "random", "heuristic")
 
@@ -121,13 +121,20 @@ def heuristic_split_policy(
     out = tuple(seq)
     if out == tuple(generated):
         return tuple(generated)
+    n = vocab.size
+    eos = vocab.eos_id
+    cw = spec.context_window
     for idx, t in enumerate(out):
         # past the length cap the distribution is an EOS point mass, so
-        # over-long modifications fail here and fall back; the ids before
-        # idx - 1 were checked at the earlier steps
-        prefix = out[:idx]
-        _check_prefix(spec, prefix, start=max(idx - 1, 0))
-        if t not in _top_p_at(spec, prompt, _context(spec, prefix), idx, p):
+        # over-long modifications fail here and fall back (only EOS passes
+        # there, and the id check raises on it). The ids before idx - 1 were
+        # checked at the earlier steps; _check_prefix raises the error.
+        if idx:
+            prev = out[idx - 1]
+            if not 0 <= prev < n or prev == eos:
+                _check_prefix(spec, out[:idx], start=idx - 1)
+        ctx = out[idx - cw : idx] if idx > cw else out[:idx]
+        if t not in _top_p_at(spec, prompt, ctx, idx, p):
             return tuple(generated)
     return out
 
@@ -160,30 +167,29 @@ def expected_extra_tokens(
     if policy.kind == "heuristic":
         out = heuristic_split_policy(generated, policy.m, policy.p, spec, prompt)
         return float(len(out) - len(generated))
-    return _random_extra_exact(tuple(generated), policy.m, spec.vocab, state_cap)
+    return _random_extra_exact(tuple(generated), policy.m, spec.vocab, {}, state_cap)
 
 
-def _random_extra_exact(seq: tuple, m: int, vocab: Vocabulary, state_cap: int) -> float:
-    memo: dict = {}
-
-    def rec(s: tuple, r: int) -> float:
-        if r == 0:
-            return 0.0
-        key = (s, r)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if len(memo) >= state_cap:
-            raise ResourceLimitError(f"random-policy split lattice exceeded {state_cap} states")
-        splits = valid_splits(s, vocab)
-        if not splits:
-            val = 0.0
-        else:
-            total = 0.0
-            for i, a, b in splits:
-                total += rec(s[:i] + (a, b) + s[i + 1 :], r - 1)
-            val = 1.0 + total / len(splits)
-        memo[key] = val
-        return val
-
-    return rec(tuple(seq), m)
+def _random_extra_exact(s: tuple, r: int, vocab: Vocabulary, memo: dict, state_cap: int) -> float:
+    # module-level recursion with the memo passed in: a self-referencing
+    # closure would be a reference cycle that keeps the memo alive until a
+    # full garbage collection
+    if r == 0:
+        return 0.0
+    key = (s, r)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if len(memo) >= state_cap:
+        raise ResourceLimitError(f"random-policy split lattice exceeded {state_cap} states")
+    splits = valid_splits(s, vocab)
+    if not splits:
+        val = 0.0
+    else:
+        total = 0.0
+        for i, a, b in splits:
+            child = s[:i] + (a, b) + s[i + 1 :]
+            total += _random_extra_exact(child, r - 1, vocab, memo, state_cap)
+        val = 1.0 + total / len(splits)
+    memo[key] = val
+    return val

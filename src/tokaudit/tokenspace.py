@@ -145,19 +145,15 @@ def enumerate_tokenizations(target: str, vocab: Vocabulary, cap: int = 100_000) 
         for i in range(n)
     ]
     out: list = []
-
-    def walk(i: int, acc: list):
+    stack = [(0, ())]
+    while stack:
+        i, acc = stack.pop()
         if i == n:
-            out.append(tuple(acc))
+            out.append(acc)
             if len(out) > cap:
                 raise ResourceLimitError(f"more than {cap} tokenizations of {target!r}")
-            return
-        for t in matches[i]:
-            acc.append(t)
-            walk(i + len(strings[t]), acc)
-            acc.pop()
-
-    walk(0, [])
+            continue
+        stack.extend((i + len(strings[t]), acc + (t,)) for t in matches[i])
     out.sort(key=lambda s: (len(s), s))
     return out
 

@@ -3,7 +3,13 @@ import json
 
 import pytest
 
-from tokaudit import cli
+from tokaudit import (
+    cli,
+    conditional_expected_length,
+    enumerate_output_distribution,
+    load_config,
+    str_of,
+)
 from tokaudit.harness import TRAJECTORY_COLUMNS
 
 
@@ -178,6 +184,20 @@ class TestOracleCommand:
         # every reference value is a finite float
         for val in p0["conditional_expected_length"].values():
             assert isinstance(val, float)
+
+    def test_lengths_equal_the_per_string_reference(self, configs_dir, capsys):
+        path = configs_dir / "oracle_tiny.json"
+        rc = cli.main(["oracle", "--config", str(path), "--moments-n", "50"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        config = load_config(path)
+        spec = config.model
+        for pid, prompt in enumerate(config.corpus.prompts):
+            lengths = report["prompts"][str(pid)]["conditional_expected_length"]
+            law = enumerate_output_distribution(spec, prompt)
+            assert set(lengths) == {str_of(seq, spec.vocab) for seq, _ in law.entries}
+            for s, value in lengths.items():
+                assert value == conditional_expected_length(spec, prompt, s), s
 
     def test_out_writes_file(self, tiny_config, tmp_path, capsys):
         outdir = tmp_path / "oracle_out"

@@ -3,6 +3,7 @@
 These are the reference computations the statistical criteria leans on, so
 they get checked against direct recomputation from the model primitives.
 """
+import gc
 import math
 
 import numpy as np
@@ -16,12 +17,33 @@ from tokaudit import (
     TruncationDist,
     Vocabulary,
     conditional_expected_length,
+    conditional_expected_lengths,
     enumerate_output_distribution,
     enumerate_tokenizations,
     evidence_moments,
     exact_intensity,
+    load_config,
+    next_token_log_probs,
     sequence_log_prob,
+    str_of,
 )
+
+
+def _recursive_law(spec, prompt):
+    """The output-law walk as a recursive closure, kept as the order reference."""
+    eos = spec.vocab.eos_id
+    out = []
+
+    def walk(prefix, acc):
+        logp = next_token_log_probs(spec, prompt, prefix)
+        out.append((prefix, acc + float(logp[eos])))
+        if len(prefix) == spec.max_len:
+            return
+        for t in spec.vocab.token_ids:
+            walk(prefix + (t,), acc + float(logp[t]))
+
+    walk((), 0.0)
+    return out
 
 
 class TestEnumerateOutputDistribution:
@@ -47,6 +69,18 @@ class TestEnumerateOutputDistribution:
         with pytest.raises(ResourceLimitError):
             enumerate_output_distribution(spec_tiny_short, "ab", cap=10)
 
+    @pytest.mark.parametrize("cw", [None, 0, 1])
+    def test_entries_in_recursive_preorder(self, spec_tiny_short, cw):
+        # exact_intensity sums in entry order, so the order is part of its value;
+        # cw 0 has its own case because prefix[-0:] is the whole prefix
+        spec = spec_tiny_short
+        if cw is not None:
+            spec = ModelSpec(seed=3, vocab=spec.vocab, context_window=cw, eos_boost=0.4, max_len=5)
+        dist = enumerate_output_distribution(spec, "ab")
+        expect = _recursive_law(spec, "ab")
+        assert list(dist.entries) == expect
+        assert dist.total_mass == math.fsum(math.exp(lp) for _, lp in expect)
+
 
 class TestConditionalExpectedLength:
     def test_matches_direct_recompute(self, spec_tiny_short):
@@ -71,6 +105,44 @@ class TestConditionalExpectedLength:
         spec = ModelSpec(seed=7, vocab=vocab_tiny, max_len=2)
         with pytest.raises(DomainError):
             conditional_expected_length(spec, "ab", "ababab")
+
+
+class TestConditionalExpectedLengths:
+    def _check(self, spec, prompt):
+        dist = enumerate_output_distribution(spec, prompt)
+        got = conditional_expected_lengths(dist, spec.vocab)
+        assert set(got) == {str_of(seq, spec.vocab) for seq, _ in dist.entries}
+        for s, value in got.items():
+            assert value == conditional_expected_length(spec, prompt, s), s
+
+    def test_equals_reference_on_heuristic_config(self, configs_dir):
+        cfg = load_config(configs_dir / "heuristic.json")
+        assert cfg.model.max_len == 6 and len(cfg.corpus.prompts) == 4
+        for prompt in cfg.corpus.prompts:
+            self._check(cfg.model, prompt)
+
+    def test_equals_reference_on_tiny_short(self, spec_tiny_short):
+        self._check(spec_tiny_short, "ab")
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("name", ["law", "tokenizations", "random", "heuristic"])
+    def test_one_call_leaves_no_cyclic_garbage(self, vocab_tiny, name):
+        spec = ModelSpec(seed=7, vocab=vocab_tiny, eos_boost=0.7, max_len=6)
+        call = {
+            "law": lambda: enumerate_output_distribution(spec, "ab"),
+            "tokenizations": lambda: enumerate_tokenizations("abababab", vocab_tiny),
+            "random": lambda: exact_intensity(PolicySpec.random(2), spec, ("ab",)),
+            "heuristic": lambda: exact_intensity(PolicySpec.heuristic(2, 0.9), spec, ("ab",)),
+        }[name]
+        call()  # warm the model's caches
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+        finally:
+            gc.enable()
+        assert gc.collect() == 0
 
 
 class TestExactIntensity:
