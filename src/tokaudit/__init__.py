@@ -12,11 +12,13 @@ from .audit import (
     AnomalyRecord,
     AuditOutcome,
     CalibrationResult,
+    EvidenceMoments,
     EvidenceRecord,
     LambdaSchedule,
     WealthState,
     calibration_report,
     detection_time_bound,
+    evidence_moments,
     run_audit,
     update_wealth,
 )
@@ -45,11 +47,9 @@ from .harness import (
 )
 from .oracle import (
     EnumeratedDistribution,
-    EvidenceMoments,
     conditional_expected_length,
     conditional_expected_lengths,
     enumerate_output_distribution,
-    evidence_moments,
     exact_intensity,
 )
 from .policies import (

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from .errors import ConditionsViolated, DomainError, TokenAuditError
 from .estimator import TruncationDist, estimate_length
 from .policies import PolicySpec, apply_policy
@@ -142,6 +144,23 @@ def update_wealth(
     )
 
 
+def draw_evidence(spec: ModelSpec, policy: PolicySpec, prompts, trunc: TruncationDist, rng):
+    """Draw a prompt, generate, report under policy and estimate, in that rng order.
+
+    Returns (prompt id, reported sequence, estimate); the evidence is
+    len(reported) - estimate. An estimator error names the prompt id.
+    """
+    pid = int(rng.integers(len(prompts)))
+    q = prompts[pid]
+    generated = sample_sequence(spec, q, rng)
+    reported = apply_policy(policy, spec, q, generated, rng)
+    try:
+        est = estimate_length(spec, q, str_of(reported, spec.vocab), trunc, rng, keep_samples=False)
+    except TokenAuditError as err:
+        raise type(err)(f"prompt {pid}: {err}") from err
+    return pid, reported, est.value
+
+
 def run_audit(
     spec: ModelSpec,
     policy: PolicySpec,
@@ -154,12 +173,10 @@ def run_audit(
 ) -> AuditOutcome:
     """Sequential audit: stop and flag once the wealth exceeds 1/alpha.
 
-    Per step: draw a prompt uniformly, let the provider generate and
-    report, estimate the conditional expected length of the reported
-    string, and bet on the difference. A nonpositive factor ends the audit
-    unflagged with the anomaly recorded. Freezing the wealth there is the
-    same as a factor of 0, so the wealth stays a nonnegative supermartingale
-    under a faithful provider on every path.
+    Per step: one draw_evidence and a bet on its evidence. A nonpositive
+    factor ends the audit unflagged with the anomaly recorded. Freezing the
+    wealth there is the same as a factor of 0, so the wealth stays a
+    nonnegative supermartingale under a faithful provider on every path.
     """
     if not 0 < alpha < 1:
         raise DomainError("alpha must lie in (0, 1)")
@@ -171,18 +188,13 @@ def run_audit(
     threshold = -math.log(alpha)
     state = WealthState()
     while state.step < max_steps:
-        pid = int(rng.integers(len(prompts)))
-        q = prompts[pid]
-        generated = sample_sequence(spec, q, rng)
-        reported = apply_policy(policy, spec, q, generated, rng)
-        target = str_of(reported, spec.vocab)
         try:
-            est = estimate_length(spec, q, target, trunc, rng, keep_samples=False)
+            pid, reported, est = draw_evidence(spec, policy, prompts, trunc, rng)
         except TokenAuditError as err:
-            raise type(err)(f"audit step {state.step + 1} (prompt {pid}): {err}") from err
-        e = len(reported) - est.value
+            raise type(err)(f"audit step {state.step + 1}, {err}") from err
         state = update_wealth(
-            state, e, schedule, prompt_id=pid, reported_len=len(reported), estimate=est.value
+            state, len(reported) - est, schedule,
+            prompt_id=pid, reported_len=len(reported), estimate=est,
         )
         if state.anomaly is not None or state.log_wealth > threshold:
             break
@@ -243,11 +255,8 @@ def calibration_report(
         raise DomainError("calibration_report needs an rng")
     es = []
     for _ in range(n_holdout):
-        pid = int(rng.integers(len(prompts)))
-        q = prompts[pid]
-        seq = sample_sequence(spec, q, rng)
-        est = estimate_length(spec, q, str_of(seq, spec.vocab), trunc, rng, keep_samples=False)
-        es.append(len(seq) - est.value)
+        _, reported, est = draw_evidence(spec, PolicySpec.faithful(), prompts, trunc, rng)
+        es.append(len(reported) - est)
     worst = min(es)
     lam_max = 1.0 / (-worst) if worst < 0 else cap
     return CalibrationResult(
@@ -256,6 +265,54 @@ def calibration_report(
         evidences=tuple(es),
         safety=safety,
         cap=cap,
+    )
+
+
+@dataclass(frozen=True)
+class EvidenceMoments:
+    """Monte Carlo moments of the evidence, plus factor support bounds at lambda0."""
+
+    mean: float
+    variance: float
+    se: float
+    n: int
+    min_evidence: float
+    max_evidence: float
+    lambda0: float
+    empirical_b_minus: float
+    empirical_b_plus: float
+
+
+def evidence_moments(
+    policy: PolicySpec,
+    spec: ModelSpec,
+    prompts,
+    trunc: TruncationDist,
+    n: int,
+    rng,
+    lambda0: float = 0.1,
+) -> EvidenceMoments:
+    """Draw n evidence values under the given policy and summarize them."""
+    if n < 2:
+        raise DomainError("need n >= 2 for a variance")
+    if len(prompts) == 0:
+        raise DomainError("prompt corpus is empty")
+    es = np.empty(n)
+    for idx in range(n):
+        _, reported, est = draw_evidence(spec, policy, prompts, trunc, rng)
+        es[idx] = len(reported) - est
+    var = float(es.var(ddof=1))
+    factors = 1.0 + lambda0 * es
+    return EvidenceMoments(
+        mean=float(es.mean()),
+        variance=var,
+        se=math.sqrt(var / n),
+        n=n,
+        min_evidence=float(es.min()),
+        max_evidence=float(es.max()),
+        lambda0=lambda0,
+        empirical_b_minus=float(factors.min()),
+        empirical_b_plus=float(factors.max()),
     )
 
 

@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .audit import detection_time_bound, run_audit
+from .audit import detection_time_bound, evidence_moments, run_audit
 from .errors import (
     ConditionsViolated,
     InputError,
@@ -40,8 +40,8 @@ from .oracle import (
     conditional_expected_length,
     conditional_expected_lengths,
     enumerate_output_distribution,
-    evidence_moments,
     exact_intensity,
+    law_intensity,
 )
 from .policies import PolicySpec
 
@@ -171,6 +171,7 @@ def _cmd_calibrate(config: RunConfig) -> int:
 
 def _cmd_oracle(config: RunConfig, moments_n: int) -> int:
     report: dict = {"prompts": {}}
+    intensity = 0.0
     for pid, prompt in enumerate(config.corpus):
         dist = enumerate_output_distribution(config.model, prompt)
         report["prompts"][str(pid)] = {
@@ -181,8 +182,10 @@ def _cmd_oracle(config: RunConfig, moments_n: int) -> int:
                 dist, config.model.vocab
             ),
         }
+        # the same sum as exact_intensity, from the law walked above
+        intensity += law_intensity(config.policy, config.model, prompt, dist)
     moments = _moments(config, moments_n)
-    report["intensity"] = exact_intensity(config.policy, config.model, config.corpus)
+    report["intensity"] = intensity / len(config.corpus)
     report["policy"] = asdict(config.policy)
     report["moments"] = asdict(moments)
     payload = json.dumps(report, indent=2, sort_keys=True)

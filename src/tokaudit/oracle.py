@@ -1,7 +1,7 @@
 """Exact brute-force references for every audited expectation, at toy scale.
 
 Everything here is exhaustive: enumerate, sum, compare. The sampling-based
-machinery is tested against these references.
+machinery is tested against these references; nothing here draws at random.
 """
 
 from __future__ import annotations
@@ -9,13 +9,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, ResourceLimitError
-from .estimator import TruncationDist, estimate_length
-from .policies import PolicySpec, apply_policy, expected_extra_tokens
+from .policies import PolicySpec, expected_extra_tokens
 from .tokenspace import Vocabulary, enumerate_tokenizations, str_of
-from .toymodel import ModelSpec, _step_table, sample_sequence, sequence_log_prob
+from .toymodel import ModelSpec, _step_table, sequence_log_prob
+
+# estimate_length, apply_policy and sample_sequence are unused here, but
+# perfbench/spans.py wraps oracle.<name> by attribute, so traced runs need them
+from .estimator import estimate_length
+from .policies import apply_policy
+from .toymodel import sample_sequence
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,7 @@ def conditional_expected_lengths(dist: EnumeratedDistribution, vocab: Vocabulary
     return out
 
 
-def conditional_expected_length(
-    spec: ModelSpec, prompt: str, target: str, cap: int = 100_000
-) -> float:
+def conditional_expected_length(spec: ModelSpec, prompt: str, target: str) -> float:
     """Exact mean tokenization length of target under the model, given target.
 
     Enumerates all tokenizations that fit within max_len and takes the
@@ -81,7 +82,7 @@ def conditional_expected_length(
     the per-string reference that tests compare conditional_expected_lengths
     and the estimator against.
     """
-    toks = enumerate_tokenizations(target, spec.vocab, cap)
+    toks = enumerate_tokenizations(target, spec.vocab)
     feasible = [t for t in toks if len(t) <= spec.max_len]
     if not feasible:
         raise DomainError(f"target {target!r} is not producible within max_len")
@@ -92,77 +93,24 @@ def conditional_expected_length(
     return num / math.fsum(ws)
 
 
-def exact_intensity(
-    policy: PolicySpec,
-    spec: ModelSpec,
-    prompts,
-    cap: int = 100_000,
-    state_cap: int = 10_000,
+def law_intensity(
+    policy: PolicySpec, spec: ModelSpec, prompt: str, dist: EnumeratedDistribution
 ) -> float:
+    """Expected extra reported tokens per output of one prompt, over its output law."""
+    num = 0.0
+    den = 0.0
+    for seq, lp in dist.entries:
+        w = math.exp(lp)
+        num += w * expected_extra_tokens(policy, spec, prompt, seq)
+        den += w
+    return num / den
+
+
+def exact_intensity(policy: PolicySpec, spec: ModelSpec, prompts) -> float:
     """Mean expected extra reported tokens per output over a finite corpus."""
     if policy.kind == "faithful":
         return 0.0
     total = 0.0
     for q in prompts:
-        dist = enumerate_output_distribution(spec, q, cap)
-        num = 0.0
-        den = 0.0
-        for seq, lp in dist.entries:
-            w = math.exp(lp)
-            num += w * expected_extra_tokens(policy, spec, q, seq, state_cap=state_cap)
-            den += w
-        total += num / den
+        total += law_intensity(policy, spec, q, enumerate_output_distribution(spec, q))
     return total / len(prompts)
-
-
-@dataclass(frozen=True)
-class EvidenceMoments:
-    """Monte Carlo moments of the evidence, plus factor support bounds at lambda0."""
-
-    mean: float
-    variance: float
-    se: float
-    n: int
-    min_evidence: float
-    max_evidence: float
-    lambda0: float
-    empirical_b_minus: float
-    empirical_b_plus: float
-
-
-def evidence_moments(
-    policy: PolicySpec,
-    spec: ModelSpec,
-    prompts,
-    trunc: TruncationDist,
-    n: int,
-    rng,
-    lambda0: float = 0.1,
-) -> EvidenceMoments:
-    """Draw n evidence values under the given policy and summarize them."""
-    if n < 2:
-        raise DomainError("need n >= 2 for a variance")
-    if len(prompts) == 0:
-        raise DomainError("prompt corpus is empty")
-    es = np.empty(n)
-    for idx in range(n):
-        pid = int(rng.integers(len(prompts)))
-        q = prompts[pid]
-        gen = sample_sequence(spec, q, rng)
-        rep = apply_policy(policy, spec, q, gen, rng)
-        est = estimate_length(spec, q, str_of(rep, spec.vocab), trunc, rng, keep_samples=False)
-        es[idx] = len(rep) - est.value
-    mean = float(es.mean())
-    var = float(es.var(ddof=1))
-    factors = 1.0 + lambda0 * es
-    return EvidenceMoments(
-        mean=mean,
-        variance=var,
-        se=math.sqrt(var / n),
-        n=n,
-        min_evidence=float(es.min()),
-        max_evidence=float(es.max()),
-        lambda0=lambda0,
-        empirical_b_minus=float(factors.min()),
-        empirical_b_plus=float(factors.max()),
-    )

@@ -14,8 +14,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import DomainError, ResourceLimitError
-from .tokenspace import TokenSeq, Vocabulary, pair_splits, valid_splits
-from .toymodel import ModelSpec, _check_prefix, _step_table
+from .tokenspace import TokenSeq, Vocabulary, check_ids, pair_splits, valid_splits
+from .toymodel import ModelSpec, _step_table
 
 _KINDS = ("faithful", "random", "heuristic")
 
@@ -73,12 +73,25 @@ def _top_p_at(spec: ModelSpec, prompt: str, ctx: tuple, prefix_len: int, p: floa
     return top_p_set(probs, p)
 
 
+@lru_cache(maxsize=16)
+def _heuristic_splits(vocab: Vocabulary) -> tuple:
+    """Per id, the heuristic policy's split pair; None where it has none (EOS too)."""
+    best = [None] * vocab.size
+    for t in vocab.token_ids:
+        pairs = pair_splits(t, vocab)
+        if pairs:  # lex ascending, and max keeps the first of equal keys
+            best[t] = max(pairs, key=min)
+    return tuple(best)
+
+
 def random_split_policy(generated: TokenSeq, m: int, vocab: Vocabulary, rng) -> TokenSeq:
     """Apply up to m uniformly random string-preserving splits.
 
-    Stops early once no token admits a 2-way split.
+    Stops early once no token admits a 2-way split. An invalid id in
+    generated raises DomainError.
     """
     seq = tuple(generated)
+    check_ids(seq, vocab)
     for _ in range(m):
         splits = valid_splits(seq, vocab)
         if not splits:
@@ -98,41 +111,27 @@ def heuristic_split_policy(
     replace it by the split pair maximizing min(left, right), ties to the
     smallest (left, right). The result is kept only if every one of its
     tokens lies in the model's top-p set at its position; otherwise the
-    original sequence is reported unchanged.
+    original sequence is reported unchanged. An invalid id in generated
+    raises DomainError.
     """
-    vocab = spec.vocab
+    check_ids(generated, spec.vocab)
     seq = list(generated)
     if not seq:
         return tuple(generated)
+    best = _heuristic_splits(spec.vocab)
     for _ in range(m):
-        i = max(range(len(seq)), key=lambda j: (seq[j], -j))
-        if len(vocab.strings[seq[i]]) == 1:
+        i = seq.index(max(seq))
+        pair = best[seq[i]]
+        if pair is None:
             break
-        pairs = pair_splits(seq[i], vocab)
-        if not pairs:
-            break  # multi-character token with no 2-way split
-        best = None
-        best_min = -1
-        for a, b in pairs:  # lex ascending, so first maximum wins ties
-            if min(a, b) > best_min:
-                best = (a, b)
-                best_min = min(a, b)
-        seq[i : i + 1] = best
-    out = tuple(seq)
-    if out == tuple(generated):
+        seq[i : i + 1] = pair
+    if len(seq) == len(generated):
         return tuple(generated)
-    n = vocab.size
-    eos = vocab.eos_id
+    out = tuple(seq)
     cw = spec.context_window
     for idx, t in enumerate(out):
-        # past the length cap the distribution is an EOS point mass, so
-        # over-long modifications fail here and fall back (only EOS passes
-        # there, and the id check raises on it). The ids before idx - 1 were
-        # checked at the earlier steps; _check_prefix raises the error.
-        if idx:
-            prev = out[idx - 1]
-            if not 0 <= prev < n or prev == eos:
-                _check_prefix(spec, out[:idx], start=idx - 1)
+        # past the length cap the distribution is an EOS point mass, so an
+        # over-long modification fails here and falls back
         ctx = out[idx - cw : idx] if idx > cw else out[:idx]
         if t not in _top_p_at(spec, prompt, ctx, idx, p):
             return tuple(generated)

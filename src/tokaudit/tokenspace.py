@@ -63,12 +63,6 @@ class Vocabulary:
         return len(self.strings)
 
     @cached_property
-    def alphabet(self) -> frozenset:
-        return frozenset(
-            ch for t, s in enumerate(self.strings) if t != self.eos_id for ch in s
-        )
-
-    @cached_property
     def token_ids(self) -> tuple:
         """Every non-EOS id, ascending."""
         return tuple(t for t in range(len(self.strings)) if t != self.eos_id)
@@ -78,12 +72,12 @@ class Vocabulary:
         return {s: t for t, s in enumerate(self.strings) if t != self.eos_id}
 
     @cached_property
-    def _splits_of_string(self) -> dict:
-        # token string -> all (left, right) id pairs concatenating to it,
-        # in ascending (left, right) order
+    def _splits_of_id(self) -> dict:
+        # non-EOS id -> all (left, right) id pairs concatenating to its
+        # string, in ascending (left, right) order; the keys are the valid ids
         out = {}
         ids = self._id_of_string
-        for s in ids:
+        for s, t in ids.items():
             pairs = []
             for cut in range(1, len(s)):
                 a = ids.get(s[:cut])
@@ -91,40 +85,41 @@ class Vocabulary:
                 if a is not None and b is not None:
                     pairs.append((a, b))
             pairs.sort()
-            out[s] = tuple(pairs)
+            out[t] = tuple(pairs)
         return out
+
+
+def check_ids(seq: TokenSeq, vocab: Vocabulary) -> None:
+    """Raise DomainError unless every id of seq is a non-EOS vocabulary id."""
+    valid = vocab._splits_of_id
+    for pos, t in enumerate(seq):
+        if t not in valid:
+            raise DomainError(f"invalid token id {t} at position {pos}")
 
 
 def str_of(seq: TokenSeq, vocab: Vocabulary) -> str:
     """Concatenate the token strings of seq."""
-    strings = vocab.strings
-    n = len(strings)
-    eos = vocab.eos_id
-    parts = []
-    for pos, t in enumerate(seq):
-        if not 0 <= t < n or t == eos:
-            raise DomainError(f"invalid token id {t} at position {pos}")
-        parts.append(strings[t])
-    return "".join(parts)
+    check_ids(seq, vocab)
+    return "".join(map(vocab.strings.__getitem__, seq))
 
 
 def pair_splits(token_id: int, vocab: Vocabulary) -> tuple:
     """All (left, right) id pairs whose strings concatenate to the token's string."""
     if not 0 <= token_id < vocab.size or token_id == vocab.eos_id:
         raise DomainError(f"invalid token id {token_id}")
-    return vocab._splits_of_string[vocab.strings[token_id]]
+    return vocab._splits_of_id[token_id]
 
 
 def valid_splits(seq: TokenSeq, vocab: Vocabulary) -> tuple:
     """Every (position, left, right) replacement that preserves the string.
 
-    Ordered ascending by position, then left id, then right id.
+    Ordered ascending by position, then left id, then right id. The ids
+    are the caller's to check (check_ids); an invalid one raises KeyError.
     """
-    table = vocab._splits_of_string
-    strings = vocab.strings
+    table = vocab._splits_of_id
     out = []
     for i, t in enumerate(seq):
-        for a, b in table[strings[t]]:
+        for a, b in table[t]:
             out.append((i, a, b))
     return tuple(out)
 

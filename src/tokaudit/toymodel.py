@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, InvariantViolation
-from .tokenspace import TokenSeq, Vocabulary, min_tokens_to_complete
+from .tokenspace import TokenSeq, Vocabulary, check_ids, min_tokens_to_complete
 
 
 @dataclass(frozen=True)
@@ -126,16 +126,13 @@ def _context(spec: ModelSpec, prefix) -> tuple:
     return tuple(int(t) for t in prefix[-cw:])
 
 
-def _check_prefix(spec: ModelSpec, prefix, start: int = 0):
-    """Raise DomainError for an over-long prefix or a bad id from start on."""
+def _check_prefix(spec: ModelSpec, prefix):
+    """Raise DomainError for an over-long prefix or a bad id."""
     if len(prefix) > spec.max_len:
         raise DomainError(
             f"prefix of length {len(prefix)} exceeds max_len {spec.max_len}"
         )
-    eos = spec.vocab.eos_id
-    for t in prefix[start:]:
-        if not 0 <= t < spec.vocab.size or t == eos:
-            raise DomainError(f"invalid token id {t} in prefix")
+    check_ids(prefix, spec.vocab)
 
 
 def next_token_dist(spec: ModelSpec, prompt: str, prefix: TokenSeq) -> np.ndarray:
@@ -165,8 +162,6 @@ def sample_sequence(spec: ModelSpec, prompt: str, rng) -> TokenSeq:
         ctx = tuple(ids[-cw:]) if cw else ()
         _, _, cum = _step_table(spec, prompt, ctx, len(ids))
         j = bisect_right(cum, rng.random())
-        if j >= len(cum):
-            j = len(cum) - 1
         if j == eos:
             return tuple(ids)
         ids.append(j)

@@ -16,10 +16,12 @@ from tokaudit import (
     WealthState,
     calibration_report,
     detection_time_bound,
+    evidence_moments,
     run_audit,
     update_wealth,
 )
-from tokaudit import ModelSpec
+from tokaudit import ModelSpec, audit
+from tokaudit.audit import draw_evidence
 
 
 class TestLambdaSchedule:
@@ -201,6 +203,49 @@ class TestRunAudit:
             run_audit(spec, PolicySpec.faithful(), prompts, sched, 0.05, trunc, 0, rng)
         with pytest.raises(DomainError):
             run_audit(spec, PolicySpec.faithful(), (), sched, 0.05, trunc, 10, rng)
+
+
+class TestDrawEvidence:
+    def test_run_audit_bets_on_successive_draws(self, audit_setup):
+        spec, prompts, trunc = audit_setup
+        policy = PolicySpec.random(2)
+        out = run_audit(spec, policy, prompts, LambdaSchedule.constant(0.05), 0.05, trunc,
+                        40, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for rec in out.trajectory:
+            pid, reported, est = draw_evidence(spec, policy, prompts, trunc, rng)
+            assert (rec.prompt_id, rec.reported_len, rec.estimate) == (pid, len(reported), est)
+            assert rec.evidence == len(reported) - est
+
+    def test_faithful_moments_match_calibration(self, audit_setup):
+        spec, prompts, trunc = audit_setup
+        rep = calibration_report(spec, prompts, trunc, n_holdout=60,
+                                 rng=np.random.default_rng(13))
+        mom = evidence_moments(PolicySpec.faithful(), spec, prompts, trunc, 60,
+                               np.random.default_rng(13))
+        assert (mom.min_evidence, mom.max_evidence) == (min(rep.evidences), max(rep.evidences))
+
+    def test_audit_error_names_step_and_prompt(self, audit_setup, monkeypatch):
+        spec, prompts, trunc = audit_setup
+        policy = PolicySpec.faithful()
+        replay = np.random.default_rng(17)
+        draw_evidence(spec, policy, prompts, trunc, replay)
+        draw_evidence(spec, policy, prompts, trunc, replay)
+        pid = int(replay.integers(len(prompts)))
+        real = audit.estimate_length
+        calls = []
+
+        def third_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise DomainError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(audit, "estimate_length", third_fails)
+        with pytest.raises(DomainError) as exc:
+            run_audit(spec, policy, prompts, LambdaSchedule.constant(0.01), 0.05, trunc, 10,
+                      np.random.default_rng(17))
+        assert str(exc.value) == f"audit step 3, prompt {pid}: boom"
 
 
 class TestCalibration:

@@ -161,13 +161,6 @@ def _heuristic_by_definition(generated, m, p, spec, prompt):
     return out
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except DomainError as err:
-        return ("DomainError", str(err))
-
-
 class TestHeuristicMatchesDefinition:
     def test_every_output_of_the_heuristic_config(self):
         cfg = load_config(CONFIGS / "heuristic.json")
@@ -183,17 +176,21 @@ class TestHeuristicMatchesDefinition:
                     kept += got == seq
         assert kept and changed  # both verification outcomes are exercised
 
-    def test_invalid_ids_raise_where_next_token_dist_raises(self):
-        # EOS first in the vocabulary, so a split sequence can carry it into
-        # a prefix; with p near 1 every id passes the top-p check
-        vocab = Vocabulary(strings=("", "a", "b", "ab"), eos_id=0)
-        spec = ModelSpec(seed=3, vocab=vocab, max_len=2)
-        raised = 0
-        for seq in [(0, 3), (3, 0, 3), (1, 1, 0, 3), (1, 0, 0, 3), (3, 1, 2)]:
-            got = _outcome(heuristic_split_policy, seq, 2, 1 - 1e-12, spec, "ab")
-            assert got == _outcome(_heuristic_by_definition, seq, 2, 1 - 1e-12, spec, "ab")
-            raised += got[0] == "DomainError"
-        assert raised
+    def test_invalid_ids_raise_where_next_token_dist_raises(self, vocab_tiny):
+        # EOS (id 3), negative and out-of-range ids are rejected on entry by
+        # both policies, whatever m is, as next_token_dist rejects them
+        spec = ModelSpec(seed=3, vocab=vocab_tiny, max_len=4)
+        for seq in [(0, 3, 0), (3,), (-1, 0), (-1,), (9,), (2, 1, 3)]:
+            with pytest.raises(DomainError):
+                next_token_dist(spec, "ab", seq)
+            for m in (0, 2):
+                with pytest.raises(DomainError):
+                    heuristic_split_policy(seq, m, 0.99, spec, "ab")
+                with pytest.raises(DomainError):
+                    random_split_policy(seq, m, vocab_tiny, np.random.default_rng(0))
+        # only ids are checked: a valid over-long input comes back unchanged
+        long = (2, 2, 2, 2, 2)
+        assert heuristic_split_policy(long, 2, 1 - 1e-12, spec, "ab") == long
 
     def test_top_p_cache_is_bounded(self):
         maxsize = policies._top_p_at.cache_info().maxsize

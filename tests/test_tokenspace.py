@@ -53,10 +53,6 @@ class TestVocabularyConstruction:
             Vocabulary.from_tokens(["a", "ab"])
         assert "'b'" in str(exc.value)
 
-    def test_alphabet_property(self):
-        v = Vocabulary.from_tokens(["a", "b", "ab"])
-        assert v.alphabet == frozenset("ab")
-
 
 class TestStrOf:
     def test_round_trip(self, vocab_tiny):
