@@ -139,17 +139,13 @@ def estimate_length(
     k_total = trunc.sample(rng)
     if k_total == 0:
         return LengthEstimate(value=0.0, k_used=0, samples=())
-    samples: list = []
+    paths = sampler.draw(rng, k_total)
     value = 0.0
     prev = 0.0
     shift = -math.inf
     num = 0.0
     den = 0.0
-    for k in range(1, k_total + 1):
-        cs = sampler.sample(rng)
-        if keep_samples:
-            samples.append(cs)
-        lw = cs.log_weight
+    for k, (seq, lw) in enumerate(paths, 1):
         if lw > shift:
             if den > 0.0:
                 rescale = math.exp(shift - lw)
@@ -157,9 +153,10 @@ def estimate_length(
                 den *= rescale
             shift = lw
         w = math.exp(lw - shift)
-        num += w * len(cs.seq)
+        num += w * len(seq)
         den += w
         r = num / den
         value += (r - prev) / trunc.survival(k)
         prev = r
-    return LengthEstimate(value=value, k_used=k_total, samples=tuple(samples))
+    samples = tuple(ConstrainedSample(seq, lw) for seq, lw in paths) if keep_samples else ()
+    return LengthEstimate(value=value, k_used=k_total, samples=samples)

@@ -22,6 +22,11 @@ from .errors import DomainError, ResourceLimitError
 # Token sequences never include the EOS id.
 TokenSeq = tuple
 
+# Most windows one vocabulary memoizes in Vocabulary.matches_at. The shipped
+# vocabularies need a few dozen (5 characters and tokens of up to 2 give
+# 5 + 25 = 30); the cap bounds what arbitrary targets can add.
+_MATCH_TABLE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -66,6 +71,33 @@ class Vocabulary:
     def token_ids(self) -> tuple:
         """Every non-EOS id, ascending."""
         return tuple(t for t in range(len(self.strings)) if t != self.eos_id)
+
+    @cached_property
+    def _longest(self) -> int:
+        return max(map(len, self.strings))
+
+    @cached_property
+    def _match_table(self) -> dict:
+        return {}
+
+    def matches_at(self, target: str, i: int) -> tuple:
+        """(id, length) of every token that target has at offset i, ascending id.
+
+        The answer depends only on the next longest-token characters, so it
+        is memoized per such window, up to _MATCH_TABLE_CAP windows; past
+        the cap a window is scanned afresh.
+        """
+        window = target[i:i + self._longest]
+        table = self._match_table
+        found = table.get(window)
+        if found is None:
+            strings = self.strings
+            found = tuple(
+                (t, len(strings[t])) for t in self.token_ids if window.startswith(strings[t])
+            )
+            if len(table) < _MATCH_TABLE_CAP:
+                table[window] = found
+        return found
 
     @cached_property
     def _id_of_string(self) -> dict:
@@ -133,12 +165,7 @@ def enumerate_tokenizations(target: str, vocab: Vocabulary, cap: int = 100_000) 
     if cap < 1:
         raise DomainError("cap must be at least 1")
     n = len(target)
-    strings = vocab.strings
-    # token ids usable at each character offset
-    matches = [
-        [t for t in vocab.token_ids if target.startswith(strings[t], i)]
-        for i in range(n)
-    ]
+    matches = [vocab.matches_at(target, i) for i in range(n)]
     out: list = []
     stack = [(0, ())]
     while stack:
@@ -148,7 +175,7 @@ def enumerate_tokenizations(target: str, vocab: Vocabulary, cap: int = 100_000) 
             if len(out) > cap:
                 raise ResourceLimitError(f"more than {cap} tokenizations of {target!r}")
             continue
-        stack.extend((i + len(strings[t]), acc + (t,)) for t in matches[i])
+        stack.extend((i + size, acc + (t,)) for t, size in matches[i])
     out.sort(key=lambda s: (len(s), s))
     return out
 
@@ -180,10 +207,8 @@ def min_tokens_to_complete(target: str, vocab: Vocabulary) -> tuple:
     n = len(target)
     best = [math.inf] * (n + 1)
     best[n] = 0
-    strings = vocab.strings
     for i in range(n - 1, -1, -1):
-        for t in vocab.token_ids:
-            s = strings[t]
-            if target.startswith(s, i) and best[i + len(s)] + 1 < best[i]:
-                best[i] = best[i + len(s)] + 1
+        for _, size in vocab.matches_at(target, i):
+            if best[i + size] + 1 < best[i]:
+                best[i] = best[i + size] + 1
     return tuple(best)

@@ -84,6 +84,25 @@ def _prompt_digest(prompt: str) -> bytes:
     return hashlib.blake2b(prompt.encode("utf-8"), digest_size=16).digest()
 
 
+@lru_cache(maxsize=65_536)
+def _logits(spec: ModelSpec, prompt: str, ctx: tuple) -> np.ndarray:
+    """The model's raw logits for one (prompt, context), before the EOS boost.
+
+    Hash-seeded, so one generator build serves every prefix length; the
+    array is read-only.
+    """
+    h = hashlib.blake2b(digest_size=32)
+    h.update(spec.seed.to_bytes(8, "little", signed=True))
+    h.update(_prompt_digest(prompt))
+    for t in ctx:
+        h.update(int(t).to_bytes(4, "little"))
+    entropy = np.frombuffer(h.digest(), dtype=np.uint32)
+    gen = np.random.default_rng(np.random.SeedSequence(entropy.tolist()))
+    logits = gen.standard_normal(spec.vocab.size)
+    logits.setflags(write=False)
+    return logits
+
+
 @lru_cache(maxsize=200_000)
 def _step_table(spec: ModelSpec, prompt: str, ctx: tuple, prefix_len: int):
     """(probs, log_probs, cum) for one conditioning context.
@@ -99,14 +118,7 @@ def _step_table(spec: ModelSpec, prompt: str, ctx: tuple, prefix_len: int):
         logp = np.full(n, -np.inf)
         logp[eos] = 0.0
     else:
-        h = hashlib.blake2b(digest_size=32)
-        h.update(spec.seed.to_bytes(8, "little", signed=True))
-        h.update(_prompt_digest(prompt))
-        for t in ctx:
-            h.update(int(t).to_bytes(4, "little"))
-        entropy = np.frombuffer(h.digest(), dtype=np.uint32)
-        gen = np.random.default_rng(np.random.SeedSequence(entropy.tolist()))
-        logits = gen.standard_normal(n)
+        logits = _logits(spec, prompt, ctx).copy()
         logits[eos] += spec.eos_boost * prefix_len
         x = logits / spec.temperature
         x -= x.max()
@@ -247,14 +259,12 @@ class ConstrainedSampler:
             node.ids = None
             node.log_z = float(logp[vocab.eos_id])
             return node
-        strings = vocab.strings
         min_left = self._min_left
         budget = spec.max_len - plen - 1  # tokens left after taking one more
         ids: list = []
         weights: list = []
-        for t in vocab.token_ids:
-            s = strings[t]
-            if target.startswith(s, consumed) and min_left[consumed + len(s)] <= budget:
+        for t, size in vocab.matches_at(target, consumed):
+            if min_left[consumed + size] <= budget:
                 ids.append(t)
                 weights.append(float(probs[t]))
         if not ids:
@@ -276,19 +286,28 @@ class ConstrainedSampler:
         node.succ = [None] * len(ids)
         return node
 
+    def draw(self, rng, k: int) -> list:
+        """k independent paths, as a list of (seq, log weight) pairs."""
+        root = self._root
+        if root is None:
+            root = self._root = self._node(0, 0, ())
+        rand = rng.random
+        out = []
+        for _ in range(k):
+            node = root
+            ids: list = []
+            log_w = 0.0
+            while node.ids is not None:
+                j = bisect_right(node.cum, rand())
+                log_w += node.log_z
+                ids.append(node.ids[j])
+                node = node.succ[j] or self._successor(node, j)
+            out.append((tuple(ids), log_w + node.log_z))
+        return out
+
     def sample(self, rng) -> ConstrainedSample:
-        node = self._root
-        if node is None:
-            node = self._root = self._node(0, 0, ())
-        ids: list = []
-        log_w = 0.0
-        while node.ids is not None:
-            j = bisect_right(node.cum, rng.random())
-            log_w += node.log_z
-            ids.append(node.ids[j])
-            node = node.succ[j] or self._successor(node, j)
-        log_w += node.log_z
-        return ConstrainedSample(seq=tuple(ids), log_weight=log_w)
+        (seq, log_w), = self.draw(rng, 1)
+        return ConstrainedSample(seq=seq, log_weight=log_w)
 
 
 @lru_cache(maxsize=4096)

@@ -4,8 +4,10 @@ The enumeration walker is cross-checked against an independent prefix DP
 (count_tokenizations) on randomized inputs, and frozen examples pin the
 exact ordering contract.
 """
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,11 @@ from tokaudit import (
     enumerate_tokenizations,
     min_tokens_to_complete,
     pair_splits,
+    sample_constrained,
     str_of,
     valid_splits,
 )
+from tokaudit import tokenspace
 
 
 class TestVocabularyConstruction:
@@ -151,3 +155,57 @@ class TestMinTokensToComplete:
         best = min_tokens_to_complete(target, vocab)
         toks = enumerate_tokenizations(target, vocab)
         assert best[0] == min(len(s) for s in toks)
+
+
+def _scan_matches(target, i, vocab):
+    return tuple(
+        (t, len(vocab.strings[t])) for t in vocab.token_ids
+        if target.startswith(vocab.strings[t], i)
+    )
+
+
+def _scan_min_tokens(target, vocab):
+    """min_tokens_to_complete by a scan of every id at every offset."""
+    n = len(target)
+    best = [math.inf] * (n + 1)
+    best[n] = 0
+    for i in range(n - 1, -1, -1):
+        for t in vocab.token_ids:
+            s = vocab.strings[t]
+            if target.startswith(s, i) and best[i + len(s)] + 1 < best[i]:
+                best[i] = best[i + len(s)] + 1
+    return tuple(best)
+
+
+def _assert_matches_scan(target, vocab):
+    assert min_tokens_to_complete(target, vocab) == _scan_min_tokens(target, vocab)
+    for i in range(len(target) + 1):
+        assert vocab.matches_at(target, i) == _scan_matches(target, i, vocab)
+
+
+class TestMatchTable:
+    def test_every_short_string(self, vocab_abc):
+        for n in range(7):
+            for chars in itertools.product("abc", repeat=n):
+                _assert_matches_scan("".join(chars), vocab_abc)
+
+    def test_character_outside_the_vocabulary(self, vocab_abc, spec_abc):
+        for target in ("x", "abx", "xbc", "abcxabc", "ab c"):
+            _assert_matches_scan(target, vocab_abc)
+            assert min_tokens_to_complete(target, vocab_abc)[0] == math.inf
+            with pytest.raises(DomainError):
+                sample_constrained(spec_abc, "abc", target, np.random.default_rng(0))
+
+    def test_ids_not_sorted_by_length(self):
+        vocab = Vocabulary.from_tokens(["abc", "c", "ab", "a", "bc", "b"])
+        for n in range(6):
+            for chars in itertools.product("abc", repeat=n):
+                _assert_matches_scan("".join(chars), vocab)
+        assert vocab.matches_at("abc", 0) == ((0, 3), (2, 2), (3, 1))
+
+    def test_memo_stops_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(tokenspace, "_MATCH_TABLE_CAP", 5)
+        vocab = Vocabulary.from_tokens(["a", "b", "c", "d", "ab", "cd"])
+        target = "".join(itertools.chain.from_iterable(itertools.permutations("abcd")))
+        _assert_matches_scan(target, vocab)
+        assert len(vocab._match_table) == 5

@@ -4,6 +4,7 @@ Weight identities are the load-bearing part: a constrained sample's
 log_weight must equal both the sum of step normalizers and the gap
 between the free-model path probability and the masked path probability.
 """
+import hashlib
 import math
 import os
 import pickle
@@ -31,9 +32,9 @@ from tokaudit import (
     sequence_log_prob,
     str_of,
 )
-from tokaudit import estimator
+from tokaudit import estimator, load_config
 from tokaudit.tokenspace import min_tokens_to_complete
-from tokaudit.toymodel import _step_table
+from tokaudit.toymodel import _logits, _step_table
 
 
 class TestModelSpecValidation:
@@ -294,6 +295,9 @@ class _ReferenceSampler:
         log_w += float(logp[self.spec.vocab.eos_id])
         return ConstrainedSample(seq=tuple(ids), log_weight=log_w)
 
+    def draw(self, rng, k):
+        return [(cs.seq, cs.log_weight) for cs in (self.sample(rng) for _ in range(k))]
+
 
 def _stream_cases(vocab_tiny, vocab_abc, vocab_default):
     default = ModelSpec(seed=20240, vocab=vocab_default, context_window=2,
@@ -304,6 +308,9 @@ def _stream_cases(vocab_tiny, vocab_abc, vocab_default):
         (ModelSpec(seed=11, vocab=vocab_abc, context_window=2, eos_boost=0.3, max_len=8),
          "abc", ["abcab", "cabc", "abc"]),
         (default, "beast", ["tabbest", "setbeat", "a"]),
+        # ids not sorted by token length: admissible ids stay in id order
+        (ModelSpec(seed=3, vocab=Vocabulary.from_tokens(["abc", "c", "ab", "a", "bc", "b"]),
+                   context_window=1, eos_boost=0.2, max_len=6), "cab", ["abcab", "bcabc"]),
     ]
 
 
@@ -341,3 +348,71 @@ class TestDrawStreamPinned:
         got = values()
         monkeypatch.setattr(estimator, "constrained_sampler", _ReferenceSampler)
         assert got == values()
+
+    def test_keep_samples_changes_neither_value_nor_stream(self, vocab_tiny, vocab_abc,
+                                                           vocab_default):
+        trunc = TruncationDist.poisson(7.0)
+        for spec, prompt, targets in _stream_cases(vocab_tiny, vocab_abc, vocab_default):
+            for target in targets:
+                rng_kept = np.random.default_rng(5)
+                rng_dropped = np.random.default_rng(5)
+                for _ in range(50):
+                    kept = estimate_length(spec, prompt, target, trunc, rng_kept)
+                    dropped = estimate_length(spec, prompt, target, trunc, rng_dropped,
+                                              keep_samples=False)
+                    assert dropped.value == kept.value
+                    assert dropped.k_used == kept.k_used == len(kept.samples)
+                    assert dropped.samples == ()
+                assert rng_dropped.bit_generator.state == rng_kept.bit_generator.state
+
+
+def _single_step_table(spec, prompt, ctx, prefix_len):
+    """The step table as one function: a fresh logits generator for every
+    (context, prefix length), with no memo shared between lengths."""
+    n = spec.vocab.size
+    eos = spec.vocab.eos_id
+    if prefix_len == spec.max_len:
+        probs = np.zeros(n)
+        probs[eos] = 1.0
+        logp = np.full(n, -np.inf)
+        logp[eos] = 0.0
+    else:
+        h = hashlib.blake2b(digest_size=32)
+        h.update(spec.seed.to_bytes(8, "little", signed=True))
+        h.update(hashlib.blake2b(prompt.encode("utf-8"), digest_size=16).digest())
+        for t in ctx:
+            h.update(int(t).to_bytes(4, "little"))
+        entropy = np.frombuffer(h.digest(), dtype=np.uint32)
+        gen = np.random.default_rng(np.random.SeedSequence(entropy.tolist()))
+        logits = gen.standard_normal(n)
+        logits[eos] += spec.eos_boost * prefix_len
+        x = logits / spec.temperature
+        x -= x.max()
+        logp = x - math.log(float(np.exp(x).sum()))
+        probs = np.exp(logp)
+    cum = np.cumsum(probs).tolist()
+    cum[-1] = 1.0
+    return probs, logp, cum
+
+
+class TestStepTablePinned:
+    """One logits draw per context serves every prefix length, bit for bit."""
+
+    def test_matches_single_function_version(self, configs_dir, spec_abc):
+        default = load_config(configs_dir / "default.json").model
+        for spec in (default, spec_abc):
+            ids = spec.vocab.token_ids
+            contexts = [(), (ids[0],), (ids[-1], ids[0]), (ids[1], ids[1]), (ids[2], ids[-1])]
+            for prompt in ("beast", "abc"):
+                for ctx in contexts:
+                    for plen in range(spec.max_len + 1):
+                        probs, logp, cum = _step_table(spec, prompt, ctx, plen)
+                        want_probs, want_logp, want_cum = _single_step_table(
+                            spec, prompt, ctx, plen)
+                        assert (probs == want_probs).all()
+                        assert (logp == want_logp).all()
+                        assert cum == want_cum
+                    assert not _logits(spec, prompt, ctx).flags.writeable
+
+    def test_logits_memo_is_bounded(self):
+        assert _logits.cache_info().maxsize is not None
