@@ -1,10 +1,12 @@
 """Unbiased estimation of the conditional expected tokenization length.
 
-The estimator draws a random number K of constrained samples and sums the
-telescoping increments of the importance-weighted running mean, each divided
-by the survival probability P(K >= k). Any K distribution supported on the
-nonnegative integers gives an unbiased estimate; what K controls is cost and
-variance. A draw of K = 0 contributes the empty sum, i.e. zero.
+The estimator draws a random number K ~ Poisson(rate) of constrained
+samples and sums the telescoping increments of the importance-weighted
+running mean, each divided by the survival probability P(K >= k). The sum
+is unbiased because P(K >= k) > 0 for every k; a K with bounded support
+would drop every increment past its bound and bias the estimate towards
+the short-run mean. The rate controls cost and variance. A draw of K = 0
+contributes the empty sum, i.e. zero.
 """
 
 from __future__ import annotations
@@ -16,60 +18,38 @@ from functools import lru_cache
 from .errors import DomainError, InvariantViolation
 from .toymodel import ConstrainedSample, ModelSpec, constrained_sampler
 
-_KINDS = ("poisson", "geometric", "deterministic")
-
 
 @dataclass(frozen=True)
 class TruncationDist:
-    """Distribution of the per-estimate sample count K.
+    """Poisson law of the per-estimate sample count K.
 
-    kinds: poisson(rate), geometric(success prob, counting trials from 1),
-    deterministic(k0). Poisson and geometric keep P(K >= k) positive for
-    every k, which the debiasing relies on.
+    kind is always "poisson" and param its rate; the fields mirror the
+    config's "truncation" section.
     """
 
     kind: str
     param: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown truncation kind {self.kind!r}")
-        if self.kind == "poisson" and not self.param > 0:
+        if self.kind != "poisson":
+            raise DomainError(
+                f"unknown truncation kind {self.kind!r} (only 'poisson' is supported)"
+            )
+        if not self.param > 0:
             raise DomainError("poisson rate must be positive")
-        if self.kind == "geometric" and not 0 < self.param < 1:
-            raise DomainError("geometric success probability must lie in (0, 1)")
-        if self.kind == "deterministic":
-            if self.param != int(self.param) or self.param < 1:
-                raise DomainError("deterministic count must be an integer >= 1")
 
     @classmethod
     def poisson(cls, rate: float) -> "TruncationDist":
         return cls("poisson", float(rate))
 
-    @classmethod
-    def geometric(cls, success_prob: float) -> "TruncationDist":
-        return cls("geometric", float(success_prob))
-
-    @classmethod
-    def deterministic(cls, k0: int) -> "TruncationDist":
-        return cls("deterministic", float(k0))
-
     def survival(self, k: int) -> float:
         """P(K >= k), for k >= 1."""
         if k < 1:
             raise DomainError("survival is defined for k >= 1")
-        if self.kind == "poisson":
-            return _poisson_survival(self.param, k)
-        if self.kind == "geometric":
-            return (1.0 - self.param) ** (k - 1)
-        return 1.0 if k <= int(self.param) else 0.0
+        return _poisson_survival(self.param, k)
 
     def sample(self, rng) -> int:
-        if self.kind == "poisson":
-            return int(rng.poisson(self.param))
-        if self.kind == "geometric":
-            return int(rng.geometric(self.param))
-        return int(self.param)
+        return int(rng.poisson(self.param))
 
 
 @lru_cache(maxsize=65536)

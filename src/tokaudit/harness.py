@@ -80,14 +80,19 @@ def load_corpus(path) -> PromptCorpus:
     return PromptCorpus.from_lines(prompts)
 
 
-def load_vocabulary(path) -> Vocabulary:
-    """JSON file with a "tokens" list; ids follow list order, EOS appended."""
+def _read_json(path, what: str):
+    """Decode a UTF-8 JSON file; what names the file in the read error."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
-        raise InputError(f"cannot read vocabulary {path}: {err}") from err
+        raise InputError(f"cannot read {what} {path}: {err}") from err
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise InputError(f"{path}: not valid JSON ({err})") from err
+
+
+def load_vocabulary(path) -> Vocabulary:
+    """JSON file with a "tokens" list; ids follow list order, EOS appended."""
+    data = _read_json(path, "vocabulary")
     if not isinstance(data, dict) or "tokens" not in data:
         raise InputError(f'{path}: expected an object with a "tokens" list')
     tokens = data["tokens"]
@@ -135,9 +140,10 @@ class RunConfig:
 
 # config file schema, version 1: section -> key -> (type, default). The
 # "config" section holds the top-level keys; the others are the JSON objects
-# of the same name. A key not listed here is an error at every level. Path
-# values resolve relative to the config file's directory; value ranges are
-# checked by the objects the sections build.
+# of the same name. A key not listed here is an error at every level. Values
+# are checked, never coerced (see _JSON_TYPES). Path values resolve relative
+# to the config file's directory; value ranges are checked by the objects the
+# sections build.
 REQUIRED = object()
 CONFIG_SCHEMA = {
     "config": {
@@ -166,6 +172,15 @@ CONFIG_SCHEMA = {
         "cap": (float, 1.0),
     },
     "truncation": {"kind": (str, "poisson"), "param": (float, 7.0)},
+}
+
+# schema type -> (JSON value types it accepts, their name); a bool is never
+# a number, and an int key takes no float, however round
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    Path: ((str,), "a string"),
 }
 
 # flat override key -> (section, key), applied in this order: a schedule
@@ -198,7 +213,10 @@ def _section(raw, name: str, path: Path, base: Path) -> dict:
             raise InputError(f"{path}: missing required key {key!r} in {name}")
         # null passes through only where null is the default
         if value is not None or default is not None:
-            value = base / typ(value) if typ is Path else typ(value)
+            accepted, what = _JSON_TYPES[typ]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise InputError(f"{path}: {key!r} in {name} must be {what}, not {value!r}")
+            value = base / value if typ is Path else typ(value)
         out[key] = value
     return out
 
@@ -206,12 +224,7 @@ def _section(raw, name: str, path: Path, base: Path) -> dict:
 def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
     """Parse a config file and apply flat override keys (see OVERRIDES) on top of it."""
     path = Path(path)
-    try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as err:
-        raise InputError(f"cannot read config {path}: {err}") from err
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise InputError(f"{path}: not valid JSON ({err})") from err
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise InputError(f"{path}: config must be a JSON object")
     overrides = overrides or {}
@@ -254,7 +267,7 @@ def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
         )
     except DomainError:
         raise
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"{path}: bad config value ({err})") from err
 
 

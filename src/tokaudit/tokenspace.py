@@ -137,8 +137,7 @@ def str_of(seq: TokenSeq, vocab: Vocabulary) -> str:
 
 def pair_splits(token_id: int, vocab: Vocabulary) -> tuple:
     """All (left, right) id pairs whose strings concatenate to the token's string."""
-    if not 0 <= token_id < vocab.size or token_id == vocab.eos_id:
-        raise DomainError(f"invalid token id {token_id}")
+    check_ids((token_id,), vocab)
     return vocab._splits_of_id[token_id]
 
 

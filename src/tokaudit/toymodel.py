@@ -79,11 +79,6 @@ class ConstrainedSample:
     log_weight: float
 
 
-@lru_cache(maxsize=None)
-def _prompt_digest(prompt: str) -> bytes:
-    return hashlib.blake2b(prompt.encode("utf-8"), digest_size=16).digest()
-
-
 @lru_cache(maxsize=65_536)
 def _logits(spec: ModelSpec, prompt: str, ctx: tuple) -> np.ndarray:
     """The model's raw logits for one (prompt, context), before the EOS boost.
@@ -93,7 +88,7 @@ def _logits(spec: ModelSpec, prompt: str, ctx: tuple) -> np.ndarray:
     """
     h = hashlib.blake2b(digest_size=32)
     h.update(spec.seed.to_bytes(8, "little", signed=True))
-    h.update(_prompt_digest(prompt))
+    h.update(hashlib.blake2b(prompt.encode("utf-8"), digest_size=16).digest())
     for t in ctx:
         h.update(int(t).to_bytes(4, "little"))
     entropy = np.frombuffer(h.digest(), dtype=np.uint32)

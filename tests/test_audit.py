@@ -266,14 +266,15 @@ class TestCalibration:
     def test_cap_branch(self):
         # single-char vocabulary: every string has a unique tokenization, so
         # the estimate equals the reported length on every nonzero draw and
-        # evidence is never negative enough to bind; with deterministic
-        # truncation the evidence is exactly 0 and the cap branch triggers
+        # evidence is never negative enough to bind; at rate 40 the estimate
+        # is exact (K = 0 has probability e^-40 and P(K >= 1) rounds to 1.0),
+        # so the evidence is exactly 0 and the cap branch triggers
         vocab = Vocabulary.from_tokens(["a", "b"])
         spec = ModelSpec(seed=3, vocab=vocab, max_len=6)
         rep = calibration_report(
             spec,
             ("ab", "ba"),
-            TruncationDist.deterministic(2),
+            TruncationDist.poisson(40.0),
             n_holdout=25,
             cap=0.7,
             rng=np.random.default_rng(11),
@@ -281,6 +282,7 @@ class TestCalibration:
         assert rep.lam_max == 0.7
         assert math.isclose(rep.lam, 0.63, rel_tol=1e-12)
         assert min(rep.evidences) >= 0.0
+        assert set(rep.evidences) == {0.0}
 
     def test_validation(self, audit_setup):
         spec, prompts, trunc = audit_setup

@@ -305,6 +305,31 @@ class TestErrorMapping:
         assert rc == 1
         assert f"unknown keys {[key]} in {section}" in capsys.readouterr().err
 
+    def test_coerced_value_exits_one(self, tiny_config, tmp_path, capsys):
+        # 2.5 steps is an error, not 2 steps
+        cfg = json.loads(tiny_config.read_text())
+        cfg["max_steps"] = 2.5
+        bad = tmp_path / "float_steps.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = cli.main(["audit", "--config", str(bad)])
+        assert rc == 1
+        assert "'max_steps' in config must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, param", [("deterministic", 3.0), ("geometric", 0.15)])
+    def test_removed_truncation_kind_exits_one(
+        self, tiny_config, tmp_path, capsys, kind, param
+    ):
+        # only a Poisson K keeps the length estimate unbiased
+        cfg = json.loads(tiny_config.read_text())
+        cfg["truncation"] = {"kind": kind, "param": param}
+        bad = tmp_path / "kind.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = cli.main(["audit", "--config", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert f"unknown truncation kind {kind!r}" in captured.err
+
     def test_anomaly_mode_flag_is_gone(self, tiny_config):
         with pytest.raises(SystemExit) as exc:
             cli.main(["replicate", "--config", str(tiny_config), "--anomaly-mode", "clamp"])

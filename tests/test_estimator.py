@@ -1,7 +1,8 @@
 """Randomized-truncation length estimator tests.
 
 The Poisson survival is checked against a direct term sum, the telescoping
-debiasing is checked against a deterministic-truncation reference, and the
+sum is rebuilt from the weighted running mean of the kept samples, the mean
+estimate is checked against the exact conditional expectation, and the
 exactness case (single tokenization) pins the estimate to an integer.
 """
 import math
@@ -17,18 +18,15 @@ from tokaudit import (
     ModelSpec,
     TruncationDist,
     Vocabulary,
+    conditional_expected_length,
     estimate_length,
     weighted_running_mean,
 )
 
 
 def _pmf(trunc, k):
-    """P(K = k), written out per kind as a reference for survival()."""
-    if trunc.kind == "poisson":
-        return math.exp(-trunc.param + k * math.log(trunc.param) - math.lgamma(k + 1))
-    if trunc.kind == "geometric":
-        return (1.0 - trunc.param) ** (k - 1) * trunc.param if k >= 1 else 0.0
-    return 1.0 if k == int(trunc.param) else 0.0
+    """P(K = k), written out as a reference for survival()."""
+    return math.exp(-trunc.param + k * math.log(trunc.param) - math.lgamma(k + 1))
 
 
 class TestTruncationDist:
@@ -36,21 +34,15 @@ class TestTruncationDist:
         with pytest.raises(DomainError):
             TruncationDist(kind="weird", param=1.0)
 
+    @pytest.mark.parametrize("kind, param", [("geometric", 0.15), ("deterministic", 3.0)])
+    def test_geometric_and_deterministic_rejected(self, kind, param):
+        # a fixed K biases the estimate; only a Poisson K is accepted
+        with pytest.raises(DomainError, match=f"unknown truncation kind '{kind}'"):
+            TruncationDist(kind=kind, param=param)
+
     def test_poisson_needs_positive_rate(self):
         with pytest.raises(DomainError):
             TruncationDist.poisson(0.0)
-
-    def test_geometric_needs_open_unit_interval(self):
-        with pytest.raises(DomainError):
-            TruncationDist.geometric(0.0)
-        with pytest.raises(DomainError):
-            TruncationDist.geometric(1.0)
-
-    def test_deterministic_needs_integer_at_least_one(self):
-        with pytest.raises(DomainError):
-            TruncationDist.deterministic(0)
-        with pytest.raises(DomainError):
-            TruncationDist(kind="deterministic", param=2.5)
 
     def test_survival_requires_k_at_least_one(self):
         with pytest.raises(DomainError):
@@ -60,8 +52,8 @@ class TestTruncationDist:
         "trunc",
         [
             TruncationDist.poisson(4.0),
-            TruncationDist.geometric(0.3),
-            TruncationDist.deterministic(5),
+            TruncationDist.poisson(0.5),
+            TruncationDist.poisson(2.0),
         ],
     )
     def test_pmf_is_survival_difference(self, trunc):
@@ -80,32 +72,17 @@ class TestTruncationDist:
                 TruncationDist.poisson(rate).survival(k), direct, rel_tol=1e-10
             )
 
-    def test_geometric_survival_formula(self):
-        p = 0.25
-        trunc = TruncationDist.geometric(p)
-        for k in range(1, 20):
-            assert math.isclose(trunc.survival(k), (1 - p) ** (k - 1), rel_tol=1e-14)
-
-    def test_deterministic_survival_step(self):
-        trunc = TruncationDist.deterministic(3)
-        assert [trunc.survival(k) for k in range(1, 6)] == [1.0, 1.0, 1.0, 0.0, 0.0]
-
     def test_pmf_sums_to_one(self):
-        for trunc in (
-            TruncationDist.poisson(4.0),
-            TruncationDist.geometric(0.4),
-            TruncationDist.deterministic(5),
-        ):
+        for trunc in (TruncationDist.poisson(4.0), TruncationDist.poisson(0.5)):
             total = sum(_pmf(trunc, k) for k in range(0, 200))
             assert math.isclose(total, 1.0, rel_tol=1e-12)
             assert math.isclose(trunc.survival(1), total - _pmf(trunc, 0), rel_tol=1e-12)
 
-    def test_sample_ranges(self):
+    def test_sample_is_one_poisson_draw(self):
+        trunc = TruncationDist.poisson(7.0)
         rng = np.random.default_rng(0)
-        geo = TruncationDist.geometric(0.5)
-        assert all(geo.sample(rng) >= 1 for _ in range(100))
-        det = TruncationDist.deterministic(4)
-        assert det.sample(rng) == 4
+        got = [trunc.sample(rng) for _ in range(50)]
+        assert got == np.random.default_rng(0).poisson(7.0, size=50).tolist()
 
 
 def _fake_sample(length, log_weight):
@@ -171,17 +148,22 @@ class TestEstimateLength:
         assert est.k_used == 0
         assert est.samples == ()
 
-    def test_deterministic_matches_running_mean(self, spec_tiny6):
-        trunc = TruncationDist.deterministic(6)
+    def test_value_is_rescaled_running_mean_increments(self, spec_tiny6):
+        trunc = TruncationDist.poisson(6.0)
         est = estimate_length(
             spec_tiny6, "ab", "abab", trunc, np.random.default_rng(4)
         )
-        assert est.k_used == 6
-        assert len(est.samples) == 6
-        # survival is 1 up to k0, so telescoping collapses to R_{k0}
-        assert math.isclose(
-            est.value, weighted_running_mean(est.samples, 6), rel_tol=1e-12
+        assert est.k_used >= 2
+        assert len(est.samples) == est.k_used
+        # sum_k (R_k - R_{k-1}) / P(K >= k), R_k rebuilt from the kept samples
+        running = [0.0] + [
+            weighted_running_mean(est.samples, k) for k in range(1, est.k_used + 1)
+        ]
+        ref = sum(
+            (running[k] - running[k - 1]) / trunc.survival(k)
+            for k in range(1, est.k_used + 1)
         )
+        assert math.isclose(est.value, ref, rel_tol=1e-12)
 
     def test_single_tokenization_two_point_law(self):
         vocab = Vocabulary.from_tokens(["a", "b"])
@@ -200,12 +182,12 @@ class TestEstimateLength:
                 assert est.value == 0.0
 
     def test_keep_samples_false_drops_them(self, spec_tiny6):
-        trunc = TruncationDist.deterministic(3)
+        trunc = TruncationDist.poisson(40.0)
         est = estimate_length(
             spec_tiny6, "ab", "abab", trunc, np.random.default_rng(4), keep_samples=False
         )
         assert est.samples == ()
-        assert est.k_used == 3
+        assert est.k_used > 0
 
     def test_reproducible(self, spec_tiny6):
         trunc = TruncationDist.poisson(5.0)
@@ -215,10 +197,9 @@ class TestEstimateLength:
         assert a.k_used == b.k_used
 
     def test_unbiased_against_enumeration_mean(self):
-        # tiny target with two tokenizations; deterministic truncation at a
-        # large depth gives a nearly converged self-normalized mean, so the
-        # randomized-truncation mean over many draws must approach the same
-        # conditional expectation (coarse 6-sigma check, small n for speed)
+        # tiny target with two tokenizations: the randomized-truncation mean
+        # over many draws must approach the exact conditional expectation
+        # (coarse 6-sigma check, small n for speed)
         vocab = Vocabulary.from_tokens(["a", "b", "ab"])
         spec = ModelSpec(seed=13, vocab=vocab, max_len=4)
         trunc = TruncationDist.poisson(4.0)
@@ -227,9 +208,7 @@ class TestEstimateLength:
             estimate_length(spec, "ab", "ab", trunc, rng, keep_samples=False).value
             for _ in range(4000)
         ]
-        ref = estimate_length(
-            spec, "ab", "ab", TruncationDist.deterministic(3000), np.random.default_rng(7)
-        )
+        ref = conditional_expected_length(spec, "ab", "ab")
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-        assert abs(mean - ref.value) < 6 * se
+        assert abs(mean - ref) < 6 * se

@@ -139,6 +139,14 @@ class TestRunConfigValidation:
         assert "overlap" in str(exc.value)
 
 
+def _certified_copy(configs_dir) -> dict:
+    """certified.json as a dict, with its paths made absolute."""
+    cfg = json.loads((configs_dir / "certified.json").read_text(encoding="utf-8"))
+    cfg["model"]["vocab"] = str(configs_dir / cfg["model"]["vocab"])
+    cfg["corpus"] = str(configs_dir / cfg["corpus"])
+    return cfg
+
+
 class TestLoadConfig:
     def test_parses_shipped_default(self, configs_dir):
         cfg = load_config(configs_dir / "default.json")
@@ -266,15 +274,64 @@ class TestLoadConfig:
     )
     def test_unknown_nested_key_rejected(self, configs_dir, tmp_path, section, key):
         # a copy of certified.json with one misspelled key inside a section
-        cfg = json.loads((configs_dir / "certified.json").read_text(encoding="utf-8"))
-        cfg["model"]["vocab"] = str(configs_dir / cfg["model"]["vocab"])
-        cfg["corpus"] = str(configs_dir / cfg["corpus"])
+        cfg = _certified_copy(configs_dir)
         cfg.setdefault(section, {})[key] = 0.5
         p = tmp_path / "typo.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
         with pytest.raises(InputError) as exc:
             load_config(p)
         assert str(exc.value).endswith(f"unknown keys {[key]} in {section}")
+
+    @pytest.mark.parametrize(
+        "section, key, value, what",
+        [
+            ("config", "max_steps", 2.5, "an integer"),
+            ("model", "max_len", 4.9, "an integer"),
+            ("config", "replications", True, "an integer"),
+            ("config", "master_seed", "7", "an integer"),
+            ("schedule", "lambda0", True, "a number"),
+            ("schedule", "lambda0", "0.03", "a number"),
+            ("truncation", "param", None, "a number"),
+            ("policy", "kind", 1, "a string"),
+            ("config", "corpus", 3, "a string"),
+        ],
+    )
+    def test_values_are_checked_not_coerced(
+        self, configs_dir, tmp_path, section, key, value, what
+    ):
+        # a copy of certified.json with one value of the wrong JSON type
+        cfg = _certified_copy(configs_dir)
+        if section == "config":
+            cfg[key] = value
+        else:
+            cfg.setdefault(section, {})[key] = value
+        p = tmp_path / "typed.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            load_config(p)
+        assert str(exc.value).endswith(f"{key!r} in {section} must be {what}, not {value!r}")
+
+    def test_number_too_large_for_a_float(self, configs_dir, tmp_path):
+        cfg = _certified_copy(configs_dir)
+        cfg["model"]["temperature"] = 10**400
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.raises(InputError, match="bad config value"):
+            load_config(p)
+
+    def test_overrides_are_checked_not_coerced(self, configs_dir):
+        with pytest.raises(InputError, match="'max_steps' in config must be an integer"):
+            load_config(configs_dir / "certified.json", overrides={"max_steps": 2.5})
+
+    def test_number_keys_take_json_integers(self, configs_dir, tmp_path):
+        cfg = _certified_copy(configs_dir)
+        cfg["truncation"]["param"] = 4
+        cfg["model"]["temperature"] = 1
+        p = tmp_path / "ints.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        got = load_config(p)
+        assert got == load_config(configs_dir / "certified.json")
+        assert type(got.trunc.param) is float and type(got.model.temperature) is float
 
     def test_readme_config_shape_lists_the_schema_keys(self, configs_dir):
         readme = (configs_dir.parent / "README.md").read_text(encoding="utf-8")
