@@ -51,7 +51,9 @@ class LambdaSchedule:
         return self.lambda0 if self.kind == "constant" else self.lambda0 / i
 
 
-@dataclass(frozen=True)
+# Every audit step keeps one record for the whole run, so the records are
+# slotted: no per-instance __dict__.
+@dataclass(frozen=True, slots=True)
 class EvidenceRecord:
     step: int
     prompt_id: int
@@ -62,7 +64,7 @@ class EvidenceRecord:
     factor: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnomalyRecord:
     """A nonpositive betting factor observed at some step."""
 

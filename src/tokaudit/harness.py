@@ -143,7 +143,7 @@ class RunConfig:
 # of the same name. A key not listed here is an error at every level. Values
 # are checked, never coerced (see _JSON_TYPES). Path values resolve relative
 # to the config file's directory; value ranges are checked by the objects the
-# sections build.
+# sections build, except master_seed's, which load_config checks.
 REQUIRED = object()
 CONFIG_SCHEMA = {
     "config": {
@@ -254,6 +254,11 @@ def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
             schedule = LambdaSchedule(**section("schedule"))
         calib = section("calibration")
         top = section("config")
+        if top["master_seed"] < 0:
+            # np.random.SeedSequence takes nonnegative entropy only
+            raise InputError(
+                f"{path}: 'master_seed' in config must be nonnegative, not {top['master_seed']}"
+            )
         return RunConfig(
             model=ModelSpec(**{**model, "vocab": load_vocabulary(model["vocab"])}),
             policy=policy,

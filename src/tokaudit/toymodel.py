@@ -39,6 +39,9 @@ class ModelSpec:
     max_len: int = 16
 
     def __post_init__(self):
+        # _logits hashes the seed as a signed 64-bit integer
+        if not -(2**63) <= self.seed < 2**63:
+            raise DomainError(f"seed must lie in [-2**63, 2**63), not {self.seed}")
         if self.temperature <= 0:
             raise DomainError("temperature must be positive")
         if self.max_len < 1:
@@ -305,7 +308,10 @@ class ConstrainedSampler:
         return ConstrainedSample(seq=seq, log_weight=log_w)
 
 
-@lru_cache(maxsize=4096)
+# Most targets are estimated once, so a larger cache holds lattices that are
+# never reused (README "Caches"). An evicted sampler is rebuilt with the same
+# nodes, so the bound moves speed and memory, never a value or a draw.
+@lru_cache(maxsize=512)
 def constrained_sampler(spec: ModelSpec, prompt: str, target: str) -> ConstrainedSampler:
     """Shared sampler instance; its node lattice only grows, so reuse is safe."""
     return ConstrainedSampler(spec, prompt, target)

@@ -1,5 +1,7 @@
 """Wealth process, audit loop, bet calibration, and detection-time bound."""
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from tokaudit import (
     update_wealth,
 )
 from tokaudit import ModelSpec, audit
-from tokaudit.audit import draw_evidence
+from tokaudit.audit import AnomalyRecord, EvidenceRecord, draw_evidence
 
 
 class TestLambdaSchedule:
@@ -99,6 +101,35 @@ def audit_setup():
     prompts = ("ab", "ba", "aab")
     trunc = TruncationDist.poisson(4.0)
     return spec, prompts, trunc
+
+
+class TestRecords:
+    """Every audit step keeps a record, so the records are slotted; their
+    repr feeds output fingerprints and must not change."""
+
+    CASES = [
+        (
+            EvidenceRecord(step=3, prompt_id=1, reported_len=4, estimate=3.5,
+                           evidence=0.5, lam=0.25, factor=1.125),
+            "EvidenceRecord(step=3, prompt_id=1, reported_len=4, estimate=3.5, "
+            "evidence=0.5, lam=0.25, factor=1.125)",
+        ),
+        (
+            AnomalyRecord(step=7, evidence=-8.0, lam=0.25, factor=-1.0),
+            "AnomalyRecord(step=7, evidence=-8.0, lam=0.25, factor=-1.0)",
+        ),
+    ]
+
+    @pytest.mark.parametrize("rec, text", CASES, ids=["evidence", "anomaly"])
+    def test_slotted_and_unchanged(self, rec, text):
+        assert not hasattr(rec, "__dict__")
+        assert repr(rec) == text
+        assert rec == dataclasses.replace(rec)
+        assert rec != dataclasses.replace(rec, step=rec.step + 1)
+        assert dataclasses.replace(rec, lam=0.5).lam == 0.5
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.step = 0
 
 
 class TestRunAudit:

@@ -330,6 +330,36 @@ class TestErrorMapping:
         assert captured.out == ""
         assert f"unknown truncation kind {kind!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "where, value, argv, env",
+        [
+            ("model", 2**70, (), None),  # the model seed packs into 8 signed bytes
+            ("config", -1, (), None),  # SeedSequence takes nonnegative seeds only
+            (None, None, ("--seed", "-1"), None),
+            (None, None, (), "-3"),
+        ],
+        ids=["model-seed-2**70", "master-seed-file", "master-seed-flag", "master-seed-env"],
+    )
+    def test_out_of_range_seed_exits_one(
+        self, tiny_config, tmp_path, capsys, monkeypatch, where, value, argv, env
+    ):
+        cfg = json.loads(tiny_config.read_text())
+        if where == "model":
+            cfg["model"]["seed"] = value
+        elif where == "config":
+            cfg["master_seed"] = value
+        bad = tmp_path / "seed.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        if env is not None:
+            monkeypatch.setenv("TOKEN_AUDIT_SEED", env)
+        rc = cli.main(["audit", "--config", str(bad), *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tokaudit: error:")
+        assert "seed" in lines[0]
+
     def test_anomaly_mode_flag_is_gone(self, tiny_config):
         with pytest.raises(SystemExit) as exc:
             cli.main(["replicate", "--config", str(tiny_config), "--anomaly-mode", "clamp"])

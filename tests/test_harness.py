@@ -323,6 +323,12 @@ class TestLoadConfig:
         with pytest.raises(InputError, match="'max_steps' in config must be an integer"):
             load_config(configs_dir / "certified.json", overrides={"max_steps": 2.5})
 
+    def test_negative_master_seed_rejected(self, configs_dir):
+        # a negative seed is no SeedSequence entropy; zero is
+        with pytest.raises(InputError, match="'master_seed' in config must be nonnegative"):
+            load_config(configs_dir / "certified.json", overrides={"master_seed": -1})
+        assert load_config(configs_dir / "certified.json", {"master_seed": 0}).master_seed == 0
+
     def test_number_keys_take_json_integers(self, configs_dir, tmp_path):
         cfg = _certified_copy(configs_dir)
         cfg["truncation"]["param"] = 4

@@ -5,6 +5,7 @@ log_weight must equal both the sum of step normalizers and the gap
 between the free-model path probability and the masked path probability.
 """
 import hashlib
+import itertools
 import math
 import os
 import pickle
@@ -34,7 +35,7 @@ from tokaudit import (
 )
 from tokaudit import estimator, load_config
 from tokaudit.tokenspace import min_tokens_to_complete
-from tokaudit.toymodel import _logits, _step_table
+from tokaudit.toymodel import _logits, _step_table, constrained_sampler
 
 
 class TestModelSpecValidation:
@@ -49,6 +50,17 @@ class TestModelSpecValidation:
     def test_rejects_bad_context_window(self, vocab_tiny):
         with pytest.raises(DomainError):
             ModelSpec(seed=1, vocab=vocab_tiny, context_window=-1)
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 2**70])
+    def test_rejects_seed_outside_int64(self, vocab_tiny, seed):
+        # _logits packs the seed into 8 signed bytes
+        with pytest.raises(DomainError, match="seed must lie in"):
+            ModelSpec(seed=seed, vocab=vocab_tiny)
+
+    def test_accepts_int64_extremes(self, vocab_tiny):
+        for seed in (2**63 - 1, -(2**63)):
+            spec = ModelSpec(seed=seed, vocab=vocab_tiny, max_len=4)
+            assert next_token_dist(spec, "ab", ()).sum() == pytest.approx(1.0)
 
 
 class TestModelSpecHash:
@@ -364,6 +376,43 @@ class TestDrawStreamPinned:
                     assert dropped.k_used == kept.k_used == len(kept.samples)
                     assert dropped.samples == ()
                 assert rng_dropped.bit_generator.state == rng_kept.bit_generator.state
+
+
+class TestSamplerCacheEviction:
+    """The sampler cache is bounded; a sampler rebuilt after eviction gives
+    the same estimates and draws as one that was never evicted."""
+
+    def test_eviction_changes_no_estimate(self, vocab_abc):
+        spec = ModelSpec(seed=11, vocab=vocab_abc, context_window=2, eos_boost=0.3, max_len=8)
+        maxsize = constrained_sampler.cache_info().maxsize
+        # single-character tokens spell every string over "abc"
+        targets = [
+            "".join(chars)
+            for n in range(1, spec.max_len + 1)
+            for chars in itertools.product("abc", repeat=n)
+        ][: maxsize + 64]
+        assert len(targets) == maxsize + 64
+        # each target twice in a row (a hit on a grown lattice), then the whole
+        # list again, which finds every sampler evicted and rebuilds it
+        calls = [t for t in targets for _ in range(2)] + targets
+        trunc = TruncationDist.poisson(7.0)
+
+        def run(clear_each):
+            rng = np.random.default_rng(31)
+            out = []
+            for target in calls:
+                if clear_each:
+                    constrained_sampler.cache_clear()
+                est = estimate_length(spec, "abc", target, trunc, rng)
+                out.append((est.value, est.samples, rng.bit_generator.state))
+            return out
+
+        constrained_sampler.cache_clear()
+        evicting = run(clear_each=False)
+        info = constrained_sampler.cache_info()
+        assert info.currsize <= info.maxsize
+        assert info.misses == len(targets) * 2  # one build per target, one rebuild
+        assert evicting == run(clear_each=True)
 
 
 def _single_step_table(spec, prompt, ctx, prefix_len):
