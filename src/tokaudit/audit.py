@@ -3,10 +3,16 @@
 Each audit step compares the provider's reported token count against an
 unbiased estimate of the conditional expected tokenization length of the
 reported string. The difference is the step's evidence; a faithful provider
-makes its expectation exactly zero. Evidence is aggregated multiplicatively
-into a wealth process that is a nonnegative martingale under faithfulness,
-so stopping when it exceeds 1/alpha bounds the false positive rate by alpha
-at any data-dependent stopping time.
+makes its expectation exactly zero. Evidence is aggregated multiplicatively:
+under faithfulness the signed product W of the factors 1 + lambda * E is a
+martingale with mean 1, and while every factor stays positive it is also
+nonnegative, so Ville's inequality bounds the chance of ever exceeding
+1/alpha by alpha. A nonpositive factor aborts the audit. Freezing the wealth
+at 0 there does not keep a supermartingale, since max(0, 1 + lambda * E) has
+a conditional mean above 1 whenever 1 + lambda * E < 0 has positive
+probability. What holds is optional stopping of W at T = min(flag, abort,
+max_steps): P(flag) <= alpha * (1 + E[|W_T|; abort]), with W_T the signed
+wealth at the abort step. Only bets that can never abort give alpha exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import numpy as np
 from .errors import ConditionsViolated, DomainError, TokenAuditError
 from .estimator import TruncationDist, estimate_length
 from .policies import PolicySpec, apply_policy
+from .rngstream import exact_stream
 from .tokenspace import str_of
 from .toymodel import ModelSpec, sample_sequence
 
@@ -176,9 +183,13 @@ def run_audit(
     """Sequential audit: stop and flag once the wealth exceeds 1/alpha.
 
     Per step: one draw_evidence and a bet on its evidence. A nonpositive
-    factor ends the audit unflagged with the anomaly recorded. Freezing the
-    wealth there is the same as a factor of 0, so the wealth stays a
-    nonnegative supermartingale under a faithful provider on every path.
+    factor ends the audit unflagged with the anomaly recorded. That is not a
+    factor of 0 in a nonnegative supermartingale (see the module docstring):
+    under a faithful provider the false-flag rate is at most
+    alpha * (1 + E[|W_T|; abort]), which is alpha only if no audit aborts.
+
+    The steps draw from rng through exact_stream, which leaves rng where
+    numpy's own calls would have, also when a step raises.
     """
     if not 0 < alpha < 1:
         raise DomainError("alpha must lie in (0, 1)")
@@ -189,17 +200,18 @@ def run_audit(
 
     threshold = -math.log(alpha)
     state = WealthState()
-    while state.step < max_steps:
-        try:
-            pid, reported, est = draw_evidence(spec, policy, prompts, trunc, rng)
-        except TokenAuditError as err:
-            raise type(err)(f"audit step {state.step + 1}, {err}") from err
-        state = update_wealth(
-            state, len(reported) - est, schedule,
-            prompt_id=pid, reported_len=len(reported), estimate=est,
-        )
-        if state.anomaly is not None or state.log_wealth > threshold:
-            break
+    with exact_stream(rng) as stream:
+        while state.step < max_steps:
+            try:
+                pid, reported, est = draw_evidence(spec, policy, prompts, trunc, stream)
+            except TokenAuditError as err:
+                raise type(err)(f"audit step {state.step + 1}, {err}") from err
+            state = update_wealth(
+                state, len(reported) - est, schedule,
+                prompt_id=pid, reported_len=len(reported), estimate=est,
+            )
+            if state.anomaly is not None or state.log_wealth > threshold:
+                break
     flagged = state.log_wealth > threshold
     return AuditOutcome(
         flagged=flagged,
@@ -256,9 +268,10 @@ def calibration_report(
     if rng is None:
         raise DomainError("calibration_report needs an rng")
     es = []
-    for _ in range(n_holdout):
-        _, reported, est = draw_evidence(spec, PolicySpec.faithful(), prompts, trunc, rng)
-        es.append(len(reported) - est)
+    with exact_stream(rng) as stream:
+        for _ in range(n_holdout):
+            _, reported, est = draw_evidence(spec, PolicySpec.faithful(), prompts, trunc, stream)
+            es.append(len(reported) - est)
     worst = min(es)
     lam_max = 1.0 / (-worst) if worst < 0 else cap
     return CalibrationResult(
@@ -300,9 +313,10 @@ def evidence_moments(
     if len(prompts) == 0:
         raise DomainError("prompt corpus is empty")
     es = np.empty(n)
-    for idx in range(n):
-        _, reported, est = draw_evidence(spec, policy, prompts, trunc, rng)
-        es[idx] = len(reported) - est
+    with exact_stream(rng) as stream:
+        for idx in range(n):
+            _, reported, est = draw_evidence(spec, policy, prompts, trunc, stream)
+            es[idx] = len(reported) - est
     var = float(es.var(ddof=1))
     factors = 1.0 + lambda0 * es
     return EvidenceMoments(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, InvariantViolation
 from .toymodel import ConstrainedSample, ModelSpec, constrained_sampler
@@ -47,6 +47,17 @@ class TruncationDist:
         if k < 1:
             raise DomainError("survival is defined for k >= 1")
         return _poisson_survival(self.param, k)
+
+    def survivals(self, k: int) -> list:
+        """[P(K >= 0), ..., P(K >= k)]: one list per law, grown on demand."""
+        table = self._survivals
+        while len(table) <= k:
+            table.append(_poisson_survival(self.param, len(table)))
+        return table
+
+    @cached_property
+    def _survivals(self) -> list:
+        return [1.0]
 
     def sample(self, rng) -> int:
         return int(rng.poisson(self.param))
@@ -120,6 +131,7 @@ def estimate_length(
     if k_total == 0:
         return LengthEstimate(value=0.0, k_used=0, samples=())
     paths = sampler.draw(rng, k_total)
+    survival = trunc.survivals(k_total)
     value = 0.0
     prev = 0.0
     shift = -math.inf
@@ -136,7 +148,7 @@ def estimate_length(
         num += w * len(seq)
         den += w
         r = num / den
-        value += (r - prev) / trunc.survival(k)
+        value += (r - prev) / survival[k]
         prev = r
     samples = tuple(ConstrainedSample(seq, lw) for seq, lw in paths) if keep_samples else ()
     return LengthEstimate(value=value, k_used=k_total, samples=samples)

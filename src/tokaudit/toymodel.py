@@ -163,18 +163,59 @@ def next_token_log_probs(spec: ModelSpec, prompt: str, prefix: TokenSeq) -> np.n
     return logp
 
 
+class _GenerationNodes:
+    """The generation nodes of one (spec, prompt), one per (prefix length, context).
+
+    A node is a list: node[t] is the node reached by emitting token t,
+    linked on first use, and node[-1] is the step's next-token CDF. Plain
+    lists, keyed by context in one dict per prefix length, keep a node to
+    about 240 B (README "Caches").
+    """
+
+    def __init__(self, spec: ModelSpec, prompt: str):
+        self.spec = spec
+        self.prompt = prompt
+        self._levels = [{} for _ in range(spec.max_len + 1)]
+        self.root = self._node(0, ())
+
+    def _node(self, plen: int, ctx: tuple) -> list:
+        level = self._levels[plen]
+        node = level.get(ctx)
+        if node is None:
+            cum = _step_table(self.spec, self.prompt, ctx, plen)[2]
+            node = level[ctx] = [None] * len(cum) + [cum]
+        return node
+
+    def link(self, node: list, ids: list) -> list:
+        """Link node to its successor by ids[-1]; ids is the prefix after it."""
+        cw = self.spec.context_window
+        nxt = node[ids[-1]] = self._node(len(ids), tuple(ids[-cw:]) if cw else ())
+        return nxt
+
+
+# One table per prompt; evicting one only makes its next generations relink
+# the same nodes (README "Caches").
+@lru_cache(maxsize=64)
+def _generation_nodes(spec: ModelSpec, prompt: str) -> _GenerationNodes:
+    return _GenerationNodes(spec, prompt)
+
+
 def sample_sequence(spec: ModelSpec, prompt: str, rng) -> TokenSeq:
-    """Sample tokens until EOS; the returned sequence excludes EOS."""
+    """Sample tokens until EOS; the returned sequence excludes EOS.
+
+    One rng.random() per token, inverted through the step's CDF.
+    """
+    nodes = _generation_nodes(spec, prompt)
     eos = spec.vocab.eos_id
-    cw = spec.context_window
+    rand = rng.random
+    node = nodes.root
     ids: list = []
     while True:
-        ctx = tuple(ids[-cw:]) if cw else ()
-        _, _, cum = _step_table(spec, prompt, ctx, len(ids))
-        j = bisect_right(cum, rng.random())
+        j = bisect_right(node[-1], rand())
         if j == eos:
             return tuple(ids)
         ids.append(j)
+        node = node[j] or nodes.link(node, ids)
 
 
 def sequence_log_prob(spec: ModelSpec, prompt: str, seq: TokenSeq) -> float:

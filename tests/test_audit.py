@@ -379,3 +379,30 @@ class TestDetectionTimeBound:
         except ConditionsViolated:
             return
         assert got > 0
+
+
+class TestAbortRule:
+    """Freezing at an abort is not a factor of 0 in a supermartingale.
+
+    For the mean-zero law E = -a w.p. b/(a+b), b w.p. a/(a+b), the signed
+    factor 1 + lambda E has mean exactly 1, but the factor an abort leaves,
+    max(0, 1 + lambda E), has mean above 1 exactly when lambda a > 1.
+    """
+
+    A, B = 2.0, 0.5
+    P_LOW = B / (A + B)
+
+    def _frozen_factor(self, e, lam):
+        state = update_wealth(WealthState(), e, LambdaSchedule.constant(lam))
+        return 0.0 if state.anomaly is not None else state.wealth
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75, 1.5])
+    def test_frozen_mean_exceeds_one_iff_lambda_a_above_one(self, lam):
+        p, a, b = self.P_LOW, self.A, self.B
+        assert p * -a + (1 - p) * b == 0.0
+        signed = p * (1 - lam * a) + (1 - p) * (1 + lam * b)
+        frozen = p * self._frozen_factor(-a, lam) + (1 - p) * self._frozen_factor(b, lam)
+        assert math.isclose(signed, 1.0, rel_tol=0, abs_tol=1e-12)
+        assert (frozen > 1 + 1e-12) == (lam * a > 1)
+        # the excess is exactly the mean of the part the abort cut off
+        assert math.isclose(frozen - 1, p * max(0.0, lam * a - 1), rel_tol=0, abs_tol=1e-12)

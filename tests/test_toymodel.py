@@ -4,6 +4,7 @@ Weight identities are the load-bearing part: a constrained sample's
 log_weight must equal both the sum of step normalizers and the gap
 between the free-model path probability and the masked path probability.
 """
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -35,7 +36,7 @@ from tokaudit import (
 )
 from tokaudit import estimator, load_config
 from tokaudit.tokenspace import min_tokens_to_complete
-from tokaudit.toymodel import _logits, _step_table, constrained_sampler
+from tokaudit.toymodel import _generation_nodes, _logits, _step_table, constrained_sampler
 
 
 class TestModelSpecValidation:
@@ -465,3 +466,63 @@ class TestStepTablePinned:
 
     def test_logits_memo_is_bounded(self):
         assert _logits.cache_info().maxsize is not None
+
+
+def _per_token_walk(spec, prompt, rng):
+    """sample_sequence as one _step_table lookup per token, with no linked nodes."""
+    eos = spec.vocab.eos_id
+    cw = spec.context_window
+    ids = []
+    while True:
+        ctx = tuple(ids[-cw:]) if cw else ()
+        _, _, cum = _step_table(spec, prompt, ctx, len(ids))
+        j = bisect_right(cum, rng.random())
+        if j == eos:
+            return tuple(ids)
+        ids.append(j)
+
+
+class TestGenerationNodes:
+    """Generation over linked per-prompt nodes draws what the per-token walk draws."""
+
+    DRAWS = 2000
+
+    def _specs(self, configs_dir, vocab_tiny):
+        default = load_config(configs_dir / "default.json")
+        prompts = tuple(default.corpus)[:3]
+        return [
+            (default.model, prompts),
+            (dataclasses.replace(default.model, context_window=0), prompts),
+            (dataclasses.replace(default.model, context_window=1), prompts),
+            # a short cap with no EOS boost: many draws stop at the cap
+            (ModelSpec(seed=7, vocab=vocab_tiny, context_window=2, max_len=3), ("ab", "ba")),
+        ]
+
+    def test_matches_per_token_walk(self, configs_dir, vocab_tiny):
+        capped = 0
+        for spec, prompts in self._specs(configs_dir, vocab_tiny):
+            for i, prompt in enumerate(prompts):
+                walk = np.random.default_rng(i)
+                linked = np.random.default_rng(i)
+                for _ in range(self.DRAWS):
+                    seq = sample_sequence(spec, prompt, linked)
+                    assert seq == _per_token_walk(spec, prompt, walk)
+                    capped += len(seq) == spec.max_len
+                assert linked.bit_generator.state == walk.bit_generator.state
+        assert capped > 100
+
+    def test_eviction_changes_no_draw(self, vocab_tiny):
+        spec = ModelSpec(seed=3, vocab=vocab_tiny, context_window=1, max_len=5)
+        maxsize = _generation_nodes.cache_info().maxsize
+        prompts = [f"p{i}" for i in range(maxsize + 8)]
+        _generation_nodes.cache_clear()
+        linked = np.random.default_rng(5)
+        walk = np.random.default_rng(5)
+        for _ in range(2):  # the second pass finds every table evicted
+            for prompt in prompts:
+                for _ in range(5):
+                    assert sample_sequence(spec, prompt, linked) == _per_token_walk(spec, prompt, walk)
+        info = _generation_nodes.cache_info()
+        assert info.currsize == maxsize
+        assert info.misses == 2 * len(prompts)
+        assert linked.bit_generator.state == walk.bit_generator.state
