@@ -2,17 +2,19 @@
 """Interleaved benchmark pairs of two checkouts, written to BENCH_<label>.json.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label L --pairs N
-        [--workload NAME[:PAIRS[:SEED]] ...] [--traced NAME] [--seconds 30]
+        [--workload NAME[:PAIRS[:SEED]] ...] [--traced NAME] [--append]
 
 For each workload (default: every workload in the parent's BENCHMARK.json)
 it runs `python3 perfbench/run.py --workload NAME --seconds S --trace 0` from
-the root of each checkout, PAIRS times each (default N), alternating which
+the root of each checkout, with S the benchmark's run_seconds (from the
+parent's BENCHMARK.json), PAIRS times each (default N), alternating which
 side runs first: the parent in odd pairs, the change in even pairs. A run's
 metrics are the JSON object on its last printed line; its fingerprint is
 read from the last round's .perfbench/NAME/round/result.json. --traced adds
 one pair with --trace 1 on that workload, and --append adds the new pairs
-to the runs already in the output file. The benchmark itself is only run,
-never imported, so both sides measure with their own copy of it.
+to the runs already in BENCH_<label>.json, which is written in the change
+checkout. The benchmark itself is only run, never imported, so both sides
+measure with their own copy of it.
 
 The output has, per workload and end-to-end metric, each side's median,
 the parent's quartiles, the change/parent ratio of the medians and the
@@ -143,15 +145,14 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", default=[],
                     help="NAME, NAME:PAIRS or NAME:PAIRS:SEED; repeatable; default every workload")
     ap.add_argument("--traced", action="append", default=[], help="one traced pair on this workload")
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--what", default="", help="what the two sides are")
-    ap.add_argument("--out", type=Path, help="default: BENCH_<label>.json in the change checkout")
     ap.add_argument("--append", action="store_true",
-                    help="keep the runs already in the output file and number the new pairs after them")
+                    help="keep the runs already in BENCH_<label>.json and number the new pairs after them")
     args = ap.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     plan = []
     for item in args.workload or [w["name"] for w in spec["workloads"]]:
         name, *rest = item.split(":")
@@ -159,12 +160,12 @@ def main(argv=None) -> int:
         seed = int(rest[1]) if len(rest) > 1 else None
         plan.append((name, seed, pairs))
 
-    out = args.out or checkouts["change"] / f"BENCH_{args.label}.json"
+    out = checkouts["change"] / f"BENCH_{args.label}.json"
     runs = json.loads(out.read_text(encoding="utf-8"))["runs"] if args.append else []
     for name, seed, pairs in plan:
-        runs += _pairs(checkouts, name, seed, pairs, args.seconds, 0, runs)
+        runs += _pairs(checkouts, name, seed, pairs, seconds, 0, runs)
     for name in args.traced:
-        runs += _pairs(checkouts, name, None, 1, args.seconds, 1, runs)
+        runs += _pairs(checkouts, name, None, 1, seconds, 1, runs)
     wanted = [m["name"] for m in spec["per_layer"]]
     traced = {}  # the last traced pair of each workload
     for r in runs:
@@ -176,7 +177,7 @@ def main(argv=None) -> int:
     report = {
         "label": args.label,
         "what": args.what,
-        "command": f"python3 perfbench/run.py --workload W --seconds {args.seconds:g} --trace 0 "
+        "command": f"python3 perfbench/run.py --workload W --seconds {seconds:g} --trace 0 "
                    "(traced pairs: --trace 1), run from the root of each checkout "
                    f"by scripts/bench_pairs.py",
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),

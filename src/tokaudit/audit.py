@@ -200,7 +200,7 @@ def run_audit(
 
     threshold = -math.log(alpha)
     state = WealthState()
-    with exact_stream(rng) as stream:
+    with exact_stream(rng, trunc.param) as stream:
         while state.step < max_steps:
             try:
                 pid, reported, est = draw_evidence(spec, policy, prompts, trunc, stream)
@@ -268,7 +268,7 @@ def calibration_report(
     if rng is None:
         raise DomainError("calibration_report needs an rng")
     es = []
-    with exact_stream(rng) as stream:
+    with exact_stream(rng, trunc.param) as stream:
         for _ in range(n_holdout):
             _, reported, est = draw_evidence(spec, PolicySpec.faithful(), prompts, trunc, stream)
             es.append(len(reported) - est)
@@ -313,7 +313,7 @@ def evidence_moments(
     if len(prompts) == 0:
         raise DomainError("prompt corpus is empty")
     es = np.empty(n)
-    with exact_stream(rng) as stream:
+    with exact_stream(rng, trunc.param) as stream:
         for idx in range(n):
             _, reported, est = draw_evidence(spec, policy, prompts, trunc, stream)
             es[idx] = len(reported) - est

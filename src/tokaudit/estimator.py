@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import DomainError, InvariantViolation
 from .toymodel import ConstrainedSample, ModelSpec, constrained_sampler
@@ -46,7 +46,7 @@ class TruncationDist:
         """P(K >= k), for k >= 1."""
         if k < 1:
             raise DomainError("survival is defined for k >= 1")
-        return _poisson_survival(self.param, k)
+        return self.survivals(k)[k]
 
     def survivals(self, k: int) -> list:
         """[P(K >= 0), ..., P(K >= k)]: one list per law, grown on demand."""
@@ -63,7 +63,6 @@ class TruncationDist:
         return int(rng.poisson(self.param))
 
 
-@lru_cache(maxsize=65536)
 def _poisson_survival(rate: float, k: int) -> float:
     # upward tail sum started at the k-th pmf term; never 1 - cdf, which
     # cancels catastrophically out in the tail

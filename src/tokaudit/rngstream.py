@@ -134,9 +134,12 @@ class BlockStream:
 
 
 @contextmanager
-def exact_stream(rng):
+def exact_stream(rng, poisson_lam=None):
     """Yield a BlockStream over rng when it is a PCG64 Generator, else rng itself.
 
+    poisson_lam is the rate the caller's loop passes to poisson(), if any.
+    At lam >= 10 the stream would hand every poisson() call to numpy, with
+    a state round trip each time, so there rng itself is yielded too.
     The generator's state on exit, also after an exception, is the one
     numpy's own calls would have left.
     """
@@ -144,7 +147,8 @@ def exact_stream(rng):
     # the package would add its import time to every start-up
     from numpy.random import PCG64, Generator
 
-    if type(rng) is not Generator or type(rng.bit_generator) is not PCG64:
+    if (type(rng) is not Generator or type(rng.bit_generator) is not PCG64
+            or poisson_lam is not None and not poisson_lam < _POISSON_MULT_MAX):
         yield rng
         return
     stream = BlockStream(rng)

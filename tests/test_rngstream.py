@@ -22,6 +22,7 @@ from tokaudit import (
     evidence_moments,
     run_audit,
 )
+from tokaudit import rngstream
 from tokaudit.audit import draw_evidence
 from tokaudit.rngstream import BlockStream, exact_stream
 from tokaudit.toymodel import sample_sequence
@@ -102,6 +103,14 @@ class TestBlockStream:
                 raise RuntimeError
         assert streamed.bit_generator.state == plain.bit_generator.state
 
+    @pytest.mark.parametrize("lam", [10, 40])
+    def test_ptrs_rates_pass_through(self, lam):
+        rng = np.random.default_rng(1)
+        with exact_stream(rng, lam) as stream:
+            assert stream is rng
+        with exact_stream(rng, 9.99) as stream:
+            assert isinstance(stream, BlockStream)
+
     def test_other_generators_pass_through(self):
         rng = np.random.Generator(np.random.MT19937(1))
         with exact_stream(rng) as stream:
@@ -150,6 +159,22 @@ class TestLoopsLeaveNumpyState:
         es, state = _replayed(setup, PolicySpec.random(1), 23, 50)
         assert (mom.min_evidence, mom.max_evidence) == (min(es), max(es))
         assert rng.bit_generator.state == state
+
+    def test_loops_at_a_ptrs_rate_use_the_generator(self, setup, monkeypatch):
+        spec, prompts, _ = setup
+        trunc = TruncationDist.poisson(40.0)
+
+        def no_stream(rng):
+            raise AssertionError("block stream engaged at rate 40")
+
+        monkeypatch.setattr(rngstream, "BlockStream", no_stream)
+        rng = np.random.default_rng(24)
+        rep = calibration_report(spec, prompts, trunc, n_holdout=20, rng=rng)
+        run_audit(spec, PolicySpec.random(2), prompts, LambdaSchedule.constant(0.05), 0.05,
+                  trunc, 20, rng)
+        evidence_moments(PolicySpec.random(1), spec, prompts, trunc, 20, rng)
+        es, _ = _replayed((spec, prompts, trunc), PolicySpec.faithful(), 24, 20)
+        assert list(rep.evidences) == es
 
     def test_run_audit_failing_at_step_3(self, setup, monkeypatch):
         spec, prompts, trunc = setup
