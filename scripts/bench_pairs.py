@@ -16,9 +16,9 @@ to the runs already in BENCH_<label>.json, which is written in the change
 checkout. The benchmark itself is only run, never imported, so both sides
 measure with their own copy of it.
 
-The output has, per workload and end-to-end metric, each side's median,
-the parent's quartiles, the change/parent ratio of the medians and the
-number of pairs the change won; every run is listed under "runs".
+The output has, per workload and end-to-end metric, each side's median and
+quartiles, the change/parent ratio of the medians and the number of pairs
+the change won; every run is listed under "runs".
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _label(run) -> str:
 
 
 def summarize(runs, metrics) -> dict:
-    """Per workload and metric: medians, parent quartiles, ratio and pairs won."""
+    """Per workload and metric: each side's median and quartiles, ratio and pairs won."""
     out = {}
     for label in dict.fromkeys(_label(r) for r in runs if r["trace"] == 0):
         mine = [r for r in runs if _label(r) == label and r["trace"] == 0]
@@ -117,6 +117,7 @@ def summarize(runs, metrics) -> dict:
                 "change_median": round(cm, 4),
                 "change_over_parent": round(cm / pm, 3) if pm else None,
                 "parent_quartiles": _quartiles(parent),
+                "change_quartiles": _quartiles(change),
                 "change_better_pairs": f"{won} of {len(both)}",
             }
         out[label] = rows

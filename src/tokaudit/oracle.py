@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ResourceLimitError
 from .policies import PolicySpec, expected_extra_tokens
 from .tokenspace import Vocabulary, enumerate_tokenizations, str_of
-from .toymodel import ModelSpec, _step_table, sequence_log_prob
+from .toymodel import ModelSpec, _context_rows, sequence_log_prob
 
 # estimate_length, apply_policy and sample_sequence are unused here, but
 # perfbench/spans.py wraps oracle.<name> by attribute, so traced runs need them
@@ -40,13 +40,17 @@ def enumerate_output_distribution(
     eos = spec.vocab.eos_id
     cw = spec.context_window
     out: list = []
+    rows: dict = {}  # per context, its log-prob rows as lists, converted once
     # explicit stack, children pushed in descending id so they pop ascending
     children = spec.vocab.token_ids[::-1]
     stack = [((), 0.0)]
     while stack:
         prefix, acc = stack.pop()
         ctx = prefix[-cw:] if cw else ()
-        logp = _step_table(spec, prompt, ctx, len(prefix))[1].tolist()
+        ctx_rows = rows.get(ctx)
+        if ctx_rows is None:
+            ctx_rows = rows[ctx] = _context_rows(spec, prompt, ctx)[1].tolist()
+        logp = ctx_rows[len(prefix)]
         out.append((prefix, acc + logp[eos]))
         if len(out) > cap:
             raise ResourceLimitError(f"output tree for {prompt!r} exceeded {cap} sequences")

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import DomainError, ResourceLimitError
 from .tokenspace import TokenSeq, Vocabulary, check_ids, pair_splits, valid_splits
-from .toymodel import ModelSpec, _step_table
+from .toymodel import ModelSpec, _context_rows
 
 _KINDS = ("faithful", "random", "heuristic")
 
@@ -69,8 +69,7 @@ def top_p_set(dist, p: float) -> frozenset:
 @lru_cache(maxsize=65_536)
 def _top_p_at(spec: ModelSpec, prompt: str, ctx: tuple, prefix_len: int, p: float) -> frozenset:
     """top_p_set of the next-token distribution at one conditioning context."""
-    probs, _, _ = _step_table(spec, prompt, ctx, prefix_len)
-    return top_p_set(probs, p)
+    return top_p_set(_context_rows(spec, prompt, ctx)[0][prefix_len], p)
 
 
 @lru_cache(maxsize=16)

@@ -4,7 +4,10 @@ The model stands in for a provider's LLM. Its next-token logits are a
 deterministic hash of (seed, prompt, recent context), so every probability
 is exactly reproducible and, at small scale, exactly enumerable. EOS gets a
 logit bonus growing linearly with position, which keeps generated lengths
-short and enumeration tractable.
+short and enumeration tractable. So one softmax per (prompt, context) gives
+the next-token law at every prefix length: a read-only table with one row
+per length, which generation, the sampler, the policies and the oracle all
+read.
 
 Constrained generation draws a tokenization of a fixed target string by
 masking, at every step, the tokens that would break the prefix relation
@@ -39,7 +42,7 @@ class ModelSpec:
     max_len: int = 16
 
     def __post_init__(self):
-        # _logits hashes the seed as a signed 64-bit integer
+        # _context_rows hashes the seed as a signed 64-bit integer
         if not -(2**63) <= self.seed < 2**63:
             raise DomainError(f"seed must lie in [-2**63, 2**63), not {self.seed}")
         if self.temperature <= 0:
@@ -82,12 +85,19 @@ class ConstrainedSample:
     log_weight: float
 
 
-@lru_cache(maxsize=65_536)
-def _logits(spec: ModelSpec, prompt: str, ctx: tuple) -> np.ndarray:
-    """The model's raw logits for one (prompt, context), before the EOS boost.
+# 4,096 (spec, prompt, context) rows tables: one is about 3.2 KB at
+# default.json's shape (17 prefix lengths x 10 ids, two float64 arrays), so
+# about 13 MB at worst; an fpr-default study fills 1,609 (README "Caches").
+@lru_cache(maxsize=4_096)
+def _context_rows(spec: ModelSpec, prompt: str, ctx: tuple):
+    """(probs, log_probs) of one conditioning context, one row per prefix length.
 
-    Hash-seeded, so one generator build serves every prefix length; the
-    array is read-only.
+    Row n is the next-token law after n tokens, for n in 0..max_len; row
+    max_len is the length cap's EOS point mass. The logits are hash-seeded,
+    so one draw serves every prefix length, and only the EOS logit moves
+    with it (eos_boost per token). Each row's softmax runs elementwise in
+    the order a single row would, so every row is the same bit for bit.
+    Both arrays are read-only.
     """
     h = hashlib.blake2b(digest_size=32)
     h.update(spec.seed.to_bytes(8, "little", signed=True))
@@ -97,36 +107,24 @@ def _logits(spec: ModelSpec, prompt: str, ctx: tuple) -> np.ndarray:
     entropy = np.frombuffer(h.digest(), dtype=np.uint32)
     gen = np.random.default_rng(np.random.SeedSequence(entropy.tolist()))
     logits = gen.standard_normal(spec.vocab.size)
-    logits.setflags(write=False)
-    return logits
-
-
-@lru_cache(maxsize=200_000)
-def _step_table(spec: ModelSpec, prompt: str, ctx: tuple, prefix_len: int):
-    """(probs, log_probs, cum) for one conditioning context.
-
-    Arrays are read-only; cum is a plain list for cheap inverse-CDF draws.
-    """
-    n = spec.vocab.size
+    L = spec.max_len
     eos = spec.vocab.eos_id
-    if prefix_len == spec.max_len:
-        # hard length cap: generation must stop here
-        probs = np.zeros(n)
-        probs[eos] = 1.0
-        logp = np.full(n, -np.inf)
-        logp[eos] = 0.0
-    else:
-        logits = _logits(spec, prompt, ctx).copy()
-        logits[eos] += spec.eos_boost * prefix_len
-        x = logits / spec.temperature
-        x -= x.max()
-        logp = x - math.log(float(np.exp(x).sum()))
-        probs = np.exp(logp)
+    x = np.empty((L + 1, logits.size))
+    free = x[:L]  # a view: the rows before the length cap
+    free[:] = logits
+    free[:, eos] += spec.eos_boost * np.arange(L)
+    free /= spec.temperature
+    free -= free.max(axis=1, keepdims=True)
+    # math.log per row, as one row computes it: np.log's SIMD path may differ
+    log_z = [math.log(z) for z in np.exp(free).sum(axis=1).tolist()]
+    free -= np.array(log_z)[:, None]
+    # hard length cap: generation must stop here
+    x[L] = -np.inf
+    x[L, eos] = 0.0
+    probs = np.exp(x)
     probs.setflags(write=False)
-    logp.setflags(write=False)
-    cum = np.cumsum(probs).tolist()
-    cum[-1] = 1.0
-    return probs, logp, cum
+    x.setflags(write=False)
+    return probs, x
 
 
 def _context(spec: ModelSpec, prefix) -> tuple:
@@ -152,24 +150,22 @@ def next_token_dist(spec: ModelSpec, prompt: str, prefix: TokenSeq) -> np.ndarra
     all mass sits on EOS.
     """
     _check_prefix(spec, prefix)
-    probs, _, _ = _step_table(spec, prompt, _context(spec, prefix), len(prefix))
-    return probs
+    return _context_rows(spec, prompt, _context(spec, prefix))[0][len(prefix)]
 
 
 def next_token_log_probs(spec: ModelSpec, prompt: str, prefix: TokenSeq) -> np.ndarray:
     """Log form of next_token_dist."""
     _check_prefix(spec, prefix)
-    _, logp, _ = _step_table(spec, prompt, _context(spec, prefix), len(prefix))
-    return logp
+    return _context_rows(spec, prompt, _context(spec, prefix))[1][len(prefix)]
 
 
 class _GenerationNodes:
     """The generation nodes of one (spec, prompt), one per (prefix length, context).
 
     A node is a list: node[t] is the node reached by emitting token t,
-    linked on first use, and node[-1] is the step's next-token CDF. Plain
-    lists, keyed by context in one dict per prefix length, keep a node to
-    about 240 B (README "Caches").
+    linked on first use, and node[-1] is the step's next-token CDF, which
+    the node owns. Plain lists, keyed by context in one dict per prefix
+    length, keep a node to about 240 B plus its CDF (README "Caches").
     """
 
     def __init__(self, spec: ModelSpec, prompt: str):
@@ -182,7 +178,8 @@ class _GenerationNodes:
         level = self._levels[plen]
         node = level.get(ctx)
         if node is None:
-            cum = _step_table(self.spec, self.prompt, ctx, plen)[2]
+            cum = np.cumsum(_context_rows(self.spec, self.prompt, ctx)[0][plen]).tolist()
+            cum[-1] = 1.0  # rng.random() < 1, so bisect_right stays in range
             node = level[ctx] = [None] * len(cum) + [cum]
         return node
 
@@ -226,12 +223,10 @@ def sequence_log_prob(spec: ModelSpec, prompt: str, seq: TokenSeq) -> float:
     ids: list = []
     for t in seq:
         ctx = tuple(ids[-cw:]) if cw else ()
-        _, logp, _ = _step_table(spec, prompt, ctx, len(ids))
-        total += float(logp[t])
+        total += float(_context_rows(spec, prompt, ctx)[1][len(ids), t])
         ids.append(int(t))
     ctx = tuple(ids[-cw:]) if cw else ()
-    _, logp, _ = _step_table(spec, prompt, ctx, len(ids))
-    return total + float(logp[spec.vocab.eos_id])
+    return total + float(_context_rows(spec, prompt, ctx)[1][len(ids), spec.vocab.eos_id])
 
 
 class _Node:
@@ -291,12 +286,12 @@ class ConstrainedSampler:
         spec = self.spec
         vocab = spec.vocab
         target = self.target
-        probs, logp, _ = _step_table(spec, self.prompt, ctx, plen)
+        probs, logp = _context_rows(spec, self.prompt, ctx)
         node = _Node()
         if consumed == len(target):
             # completion: the mask leaves EOS alone, so the normalizer is P(EOS)
             node.ids = None
-            node.log_z = float(logp[vocab.eos_id])
+            node.log_z = float(logp[plen, vocab.eos_id])
             return node
         min_left = self._min_left
         budget = spec.max_len - plen - 1  # tokens left after taking one more
@@ -305,7 +300,7 @@ class ConstrainedSampler:
         for t, size in vocab.matches_at(target, consumed):
             if min_left[consumed + size] <= budget:
                 ids.append(t)
-                weights.append(float(probs[t]))
+                weights.append(float(probs[plen, t]))
         if not ids:
             raise InvariantViolation(
                 f"no admissible token at offset {consumed} of {target!r}"

@@ -36,7 +36,15 @@ from tokaudit import (
 )
 from tokaudit import estimator, load_config
 from tokaudit.tokenspace import min_tokens_to_complete
-from tokaudit.toymodel import _generation_nodes, _logits, _step_table, constrained_sampler
+from tokaudit.toymodel import _context_rows, _generation_nodes, constrained_sampler
+
+
+def _step_table(spec, prompt, ctx, prefix_len):
+    """(probs, log_probs, CDF) of one prefix length, read from the context rows."""
+    probs, logp = _context_rows(spec, prompt, ctx)
+    cum = np.cumsum(probs[prefix_len]).tolist()
+    cum[-1] = 1.0
+    return probs[prefix_len], logp[prefix_len], cum
 
 
 class TestModelSpecValidation:
@@ -54,7 +62,7 @@ class TestModelSpecValidation:
 
     @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 2**70])
     def test_rejects_seed_outside_int64(self, vocab_tiny, seed):
-        # _logits packs the seed into 8 signed bytes
+        # _context_rows packs the seed into 8 signed bytes
         with pytest.raises(DomainError, match="seed must lie in"):
             ModelSpec(seed=seed, vocab=vocab_tiny)
 
@@ -446,26 +454,53 @@ def _single_step_table(spec, prompt, ctx, prefix_len):
 
 
 class TestStepTablePinned:
-    """One logits draw per context serves every prefix length, bit for bit."""
+    """One softmax per context gives every prefix length's row, bit for bit."""
+
+    @staticmethod
+    def _specs(configs_dir, spec_abc):
+        shipped = [load_config(path).model for path in sorted(configs_dir.glob("*.json"))]
+        assert len(shipped) == 5
+        # past 128 ids numpy's pairwise summation splits a row recursively
+        wide = Vocabulary.from_tokens([chr(0x100 + i) for i in range(300)])
+        return shipped + [
+            spec_abc,
+            dataclasses.replace(spec_abc, context_window=0),
+            dataclasses.replace(spec_abc, max_len=1),
+            ModelSpec(seed=5, vocab=wide, context_window=1, temperature=0.7,
+                      eos_boost=0.9, max_len=20),
+        ]
 
     def test_matches_single_function_version(self, configs_dir, spec_abc):
-        default = load_config(configs_dir / "default.json").model
-        for spec in (default, spec_abc):
+        for spec in self._specs(configs_dir, spec_abc):
             ids = spec.vocab.token_ids
-            contexts = [(), (ids[0],), (ids[-1], ids[0]), (ids[1], ids[1]), (ids[2], ids[-1])]
+            cw = spec.context_window
+            contexts = {c[-cw:] if cw else ()
+                        for c in [(), (ids[0],), (ids[-1], ids[0]), (ids[1], ids[1]),
+                                  (ids[2], ids[-1])]}
             for prompt in ("beast", "abc"):
+                nodes = _generation_nodes(spec, prompt)
                 for ctx in contexts:
+                    probs, logp = _context_rows(spec, prompt, ctx)
+                    assert probs.shape == logp.shape == (spec.max_len + 1, spec.vocab.size)
+                    assert not probs.flags.writeable and not logp.flags.writeable
                     for plen in range(spec.max_len + 1):
-                        probs, logp, cum = _step_table(spec, prompt, ctx, plen)
                         want_probs, want_logp, want_cum = _single_step_table(
                             spec, prompt, ctx, plen)
-                        assert (probs == want_probs).all()
-                        assert (logp == want_logp).all()
-                        assert cum == want_cum
-                    assert not _logits(spec, prompt, ctx).flags.writeable
+                        assert (probs[plen] == want_probs).all()
+                        assert (logp[plen] == want_logp).all()
+                        if plen >= len(ctx):  # a node generation can reach
+                            assert nodes._node(plen, ctx)[-1] == want_cum
 
-    def test_logits_memo_is_bounded(self):
-        assert _logits.cache_info().maxsize is not None
+    def test_next_token_arrays_are_read_only(self, spec_abc):
+        for prefix in [(), (1, 2), (1,) * spec_abc.max_len]:
+            for arr in (next_token_dist(spec_abc, "abc", prefix),
+                        next_token_log_probs(spec_abc, "abc", prefix)):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_context_rows_memo_is_bounded(self):
+        assert _context_rows.cache_info().maxsize is not None
 
 
 def _per_token_walk(spec, prompt, rng):
