@@ -18,7 +18,9 @@ measure with their own copy of it.
 
 The output has, per workload and end-to-end metric, each side's median and
 quartiles, the change/parent ratio of the medians and the number of pairs
-the change won; every run is listed under "runs".
+the change won; every run is listed under "runs". If any run exited nonzero,
+read correct: false or had failed operations, the script names each such
+run on stderr and exits 1, after writing the file.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ def _agreed(runs, key):
     return out
 
 
+def bad_runs(runs) -> list:
+    """The runs that exited nonzero, read correct: false or had failed operations."""
+    return [r for r in runs if r["exit"] != 0 or r.get("correct") is not True or r.get("failed")]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -193,7 +200,11 @@ def main(argv=None) -> int:
     }
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(json.dumps(report["end_to_end_medians"], indent=1))
-    return 0
+    bad = bad_runs(runs)
+    for r in bad:
+        sys.stderr.write(f"bad run: {_label(r)} trace {r['trace']} pair {r['pair']} {r['side']}: "
+                         f"exit {r['exit']}, correct {r.get('correct')}, failed {r.get('failed')}\n")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

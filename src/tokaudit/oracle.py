@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ResourceLimitError
 from .policies import PolicySpec, expected_extra_tokens
 from .tokenspace import Vocabulary, enumerate_tokenizations, str_of
-from .toymodel import ModelSpec, _context_rows, sequence_log_prob
+from .toymodel import ModelSpec, _root_context, sequence_log_prob
 
 # estimate_length, apply_policy and sample_sequence are unused here, but
 # perfbench/spans.py wraps oracle.<name> by attribute, so traced runs need them
@@ -38,24 +38,22 @@ def enumerate_output_distribution(
     Each log probability is summed left to right, as sequence_log_prob does.
     """
     eos = spec.vocab.eos_id
-    cw = spec.context_window
     out: list = []
     rows: dict = {}  # per context, its log-prob rows as lists, converted once
     # explicit stack, children pushed in descending id so they pop ascending
     children = spec.vocab.token_ids[::-1]
-    stack = [((), 0.0)]
+    stack = [((), 0.0, _root_context(spec, prompt))]
     while stack:
-        prefix, acc = stack.pop()
-        ctx = prefix[-cw:] if cw else ()
-        ctx_rows = rows.get(ctx)
+        prefix, acc, c = stack.pop()
+        ctx_rows = rows.get(c)
         if ctx_rows is None:
-            ctx_rows = rows[ctx] = _context_rows(spec, prompt, ctx)[1].tolist()
+            ctx_rows = rows[c] = c.log_probs.tolist()
         logp = ctx_rows[len(prefix)]
         out.append((prefix, acc + logp[eos]))
         if len(out) > cap:
             raise ResourceLimitError(f"output tree for {prompt!r} exceeded {cap} sequences")
         if len(prefix) < spec.max_len:
-            stack.extend((prefix + (t,), acc + logp[t]) for t in children)
+            stack.extend((prefix + (t,), acc + logp[t], c.succ[t] or c.next(t)) for t in children)
     total = math.fsum(math.exp(lp) for _, lp in out)
     return EnumeratedDistribution(entries=tuple(out), total_mass=total)
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import DomainError, ResourceLimitError
 from .tokenspace import TokenSeq, Vocabulary, check_ids, pair_splits, valid_splits
-from .toymodel import ModelSpec, _context_rows
+from .toymodel import ModelSpec, _root_context
 
 _KINDS = ("faithful", "random", "heuristic")
 
@@ -64,12 +64,6 @@ def top_p_set(dist, p: float) -> frozenset:
         if acc >= p:
             break
     return frozenset(out)
-
-
-@lru_cache(maxsize=65_536)
-def _top_p_at(spec: ModelSpec, prompt: str, ctx: tuple, prefix_len: int, p: float) -> frozenset:
-    """top_p_set of the next-token distribution at one conditioning context."""
-    return top_p_set(_context_rows(spec, prompt, ctx)[0][prefix_len], p)
 
 
 @lru_cache(maxsize=16)
@@ -127,13 +121,19 @@ def heuristic_split_policy(
     if len(seq) == len(generated):
         return tuple(generated)
     out = tuple(seq)
-    cw = spec.context_window
+    c = _root_context(spec, prompt)
     for idx, t in enumerate(out):
+        # the top-p sets live on their context, bounded with its prompt's table
+        if c.top_p is None:
+            c.top_p = {}
+        allowed = c.top_p.get((idx, p))
+        if allowed is None:
+            allowed = c.top_p[idx, p] = top_p_set(c.probs[idx], p)
         # past the length cap the distribution is an EOS point mass, so an
         # over-long modification fails here and falls back
-        ctx = out[idx - cw : idx] if idx > cw else out[:idx]
-        if t not in _top_p_at(spec, prompt, ctx, idx, p):
+        if t not in allowed:
             return tuple(generated)
+        c = c.succ[t] or c.next(t)
     return out
 
 

@@ -6,8 +6,10 @@ is exactly reproducible and, at small scale, exactly enumerable. EOS gets a
 logit bonus growing linearly with position, which keeps generated lengths
 short and enumeration tractable. So one softmax per (prompt, context) gives
 the next-token law at every prefix length: a read-only table with one row
-per length, which generation, the sampler, the policies and the oracle all
-read.
+per length. Each prompt keeps its contexts in one table, linked by the
+token emitted, and generation, the sampler, the policies and the oracle
+all walk those links from the prompt's root; the context-window rule is
+applied in one place, _Context.next.
 
 Constrained generation draws a tokenization of a fixed target string by
 masking, at every step, the tokens that would break the prefix relation
@@ -42,7 +44,7 @@ class ModelSpec:
     max_len: int = 16
 
     def __post_init__(self):
-        # _context_rows hashes the seed as a signed 64-bit integer
+        # _Context hashes the seed as a signed 64-bit integer
         if not -(2**63) <= self.seed < 2**63:
             raise DomainError(f"seed must lie in [-2**63, 2**63), not {self.seed}")
         if self.temperature <= 0:
@@ -85,53 +87,90 @@ class ConstrainedSample:
     log_weight: float
 
 
-# 4,096 (spec, prompt, context) rows tables: one is about 3.2 KB at
-# default.json's shape (17 prefix lengths x 10 ids, two float64 arrays), so
-# about 13 MB at worst; an fpr-default study fills 1,609 (README "Caches").
-@lru_cache(maxsize=4_096)
-def _context_rows(spec: ModelSpec, prompt: str, ctx: tuple):
-    """(probs, log_probs) of one conditioning context, one row per prefix length.
+class _Context:
+    """The next-token law of one (spec, prompt, context), linked to its successors.
 
-    Row n is the next-token law after n tokens, for n in 0..max_len; row
-    max_len is the length cap's EOS point mass. The logits are hash-seeded,
-    so one draw serves every prefix length, and only the EOS logit moves
-    with it (eos_boost per token). Each row's softmax runs elementwise in
-    the order a single row would, so every row is the same bit for bit.
-    Both arrays are read-only.
+    probs and log_probs hold one row per prefix length 0..max_len, read-only;
+    row max_len is the length cap's EOS point mass. The logits are
+    hash-seeded, so one draw serves every prefix length, and only the EOS
+    logit moves with it (eos_boost per token). Each row's softmax runs
+    elementwise in the order a single row would, so every row is the same
+    bit for bit. cdfs[n] is row n's CDF and succ[t] the context reached by
+    emitting t, both filled on first use; top_p holds the heuristic
+    policy's top-p sets, created by the policy. One prompt's contexts share
+    one table, so each is built once (README "Caches").
     """
-    h = hashlib.blake2b(digest_size=32)
-    h.update(spec.seed.to_bytes(8, "little", signed=True))
-    h.update(hashlib.blake2b(prompt.encode("utf-8"), digest_size=16).digest())
-    for t in ctx:
-        h.update(int(t).to_bytes(4, "little"))
-    entropy = np.frombuffer(h.digest(), dtype=np.uint32)
-    gen = np.random.default_rng(np.random.SeedSequence(entropy.tolist()))
-    logits = gen.standard_normal(spec.vocab.size)
-    L = spec.max_len
-    eos = spec.vocab.eos_id
-    x = np.empty((L + 1, logits.size))
-    free = x[:L]  # a view: the rows before the length cap
-    free[:] = logits
-    free[:, eos] += spec.eos_boost * np.arange(L)
-    free /= spec.temperature
-    free -= free.max(axis=1, keepdims=True)
-    # math.log per row, as one row computes it: np.log's SIMD path may differ
-    log_z = [math.log(z) for z in np.exp(free).sum(axis=1).tolist()]
-    free -= np.array(log_z)[:, None]
-    # hard length cap: generation must stop here
-    x[L] = -np.inf
-    x[L, eos] = 0.0
-    probs = np.exp(x)
-    probs.setflags(write=False)
-    x.setflags(write=False)
-    return probs, x
+
+    __slots__ = ("spec", "prompt", "table", "ctx", "probs", "log_probs", "cdfs", "succ", "top_p")
+
+    def __init__(self, spec: ModelSpec, prompt: str, table: dict, ctx: tuple):
+        h = hashlib.blake2b(digest_size=32)
+        h.update(spec.seed.to_bytes(8, "little", signed=True))
+        h.update(hashlib.blake2b(prompt.encode("utf-8"), digest_size=16).digest())
+        for t in ctx:
+            h.update(t.to_bytes(4, "little"))
+        entropy = np.frombuffer(h.digest(), dtype=np.uint32)
+        gen = np.random.default_rng(np.random.SeedSequence(entropy.tolist()))
+        logits = gen.standard_normal(spec.vocab.size)
+        L = spec.max_len
+        eos = spec.vocab.eos_id
+        x = np.empty((L + 1, logits.size))
+        free = x[:L]  # a view: the rows before the length cap
+        free[:] = logits
+        free[:, eos] += spec.eos_boost * np.arange(L)
+        free /= spec.temperature
+        free -= free.max(axis=1, keepdims=True)
+        # math.log per row, as one row computes it: np.log's SIMD path may differ
+        log_z = [math.log(z) for z in np.exp(free).sum(axis=1).tolist()]
+        free -= np.array(log_z)[:, None]
+        # hard length cap: generation must stop here
+        x[L] = -np.inf
+        x[L, eos] = 0.0
+        probs = np.exp(x)
+        probs.setflags(write=False)
+        x.setflags(write=False)
+        self.spec = spec
+        self.prompt = prompt
+        self.table = table
+        self.ctx = ctx
+        table[ctx] = self
+        self.probs = probs
+        self.log_probs = x
+        self.cdfs = [None] * (L + 1)
+        self.succ = [None] * logits.size
+        self.top_p = None
+
+    def cdf(self, plen: int) -> list:
+        """Row plen's CDF, kept in cdfs."""
+        cum = np.cumsum(self.probs[plen]).tolist()
+        cum[-1] = 1.0  # rng.random() < 1, so bisect_right stays in range
+        self.cdfs[plen] = cum
+        return cum
+
+    def next(self, t) -> "_Context":
+        """The context after emitting t, kept in succ."""
+        t = int(t)
+        cw = self.spec.context_window
+        ctx = (self.ctx + (t,))[-cw:] if cw else ()
+        nxt = self.table.get(ctx) or _Context(self.spec, self.prompt, self.table, ctx)
+        self.succ[t] = nxt
+        return nxt
 
 
-def _context(spec: ModelSpec, prefix) -> tuple:
-    cw = spec.context_window
-    if cw == 0:
-        return ()
-    return tuple(int(t) for t in prefix[-cw:])
+# One table per prompt; evicting one only makes the next walks rebuild the
+# same contexts (README "Caches").
+@lru_cache(maxsize=64)
+def _root_context(spec: ModelSpec, prompt: str) -> _Context:
+    """The empty context of one (spec, prompt), the root of its table."""
+    return _Context(spec, prompt, {}, ())
+
+
+def _walk(spec: ModelSpec, prompt: str, prefix) -> _Context:
+    """The context after prefix, walked from the prompt's root."""
+    c = _root_context(spec, prompt)
+    for t in prefix:
+        c = c.succ[t] or c.next(t)
+    return c
 
 
 def _check_prefix(spec: ModelSpec, prefix):
@@ -150,51 +189,13 @@ def next_token_dist(spec: ModelSpec, prompt: str, prefix: TokenSeq) -> np.ndarra
     all mass sits on EOS.
     """
     _check_prefix(spec, prefix)
-    return _context_rows(spec, prompt, _context(spec, prefix))[0][len(prefix)]
+    return _walk(spec, prompt, prefix).probs[len(prefix)]
 
 
 def next_token_log_probs(spec: ModelSpec, prompt: str, prefix: TokenSeq) -> np.ndarray:
     """Log form of next_token_dist."""
     _check_prefix(spec, prefix)
-    return _context_rows(spec, prompt, _context(spec, prefix))[1][len(prefix)]
-
-
-class _GenerationNodes:
-    """The generation nodes of one (spec, prompt), one per (prefix length, context).
-
-    A node is a list: node[t] is the node reached by emitting token t,
-    linked on first use, and node[-1] is the step's next-token CDF, which
-    the node owns. Plain lists, keyed by context in one dict per prefix
-    length, keep a node to about 240 B plus its CDF (README "Caches").
-    """
-
-    def __init__(self, spec: ModelSpec, prompt: str):
-        self.spec = spec
-        self.prompt = prompt
-        self._levels = [{} for _ in range(spec.max_len + 1)]
-        self.root = self._node(0, ())
-
-    def _node(self, plen: int, ctx: tuple) -> list:
-        level = self._levels[plen]
-        node = level.get(ctx)
-        if node is None:
-            cum = np.cumsum(_context_rows(self.spec, self.prompt, ctx)[0][plen]).tolist()
-            cum[-1] = 1.0  # rng.random() < 1, so bisect_right stays in range
-            node = level[ctx] = [None] * len(cum) + [cum]
-        return node
-
-    def link(self, node: list, ids: list) -> list:
-        """Link node to its successor by ids[-1]; ids is the prefix after it."""
-        cw = self.spec.context_window
-        nxt = node[ids[-1]] = self._node(len(ids), tuple(ids[-cw:]) if cw else ())
-        return nxt
-
-
-# One table per prompt; evicting one only makes its next generations relink
-# the same nodes (README "Caches").
-@lru_cache(maxsize=64)
-def _generation_nodes(spec: ModelSpec, prompt: str) -> _GenerationNodes:
-    return _GenerationNodes(spec, prompt)
+    return _walk(spec, prompt, prefix).log_probs[len(prefix)]
 
 
 def sample_sequence(spec: ModelSpec, prompt: str, rng) -> TokenSeq:
@@ -202,31 +203,29 @@ def sample_sequence(spec: ModelSpec, prompt: str, rng) -> TokenSeq:
 
     One rng.random() per token, inverted through the step's CDF.
     """
-    nodes = _generation_nodes(spec, prompt)
+    c = _root_context(spec, prompt)
     eos = spec.vocab.eos_id
     rand = rng.random
-    node = nodes.root
     ids: list = []
+    plen = 0
     while True:
-        j = bisect_right(node[-1], rand())
+        j = bisect_right(c.cdfs[plen] or c.cdf(plen), rand())
         if j == eos:
             return tuple(ids)
         ids.append(j)
-        node = node[j] or nodes.link(node, ids)
+        plen += 1
+        c = c.succ[j] or c.next(j)
 
 
 def sequence_log_prob(spec: ModelSpec, prompt: str, seq: TokenSeq) -> float:
     """log P(seq then EOS | prompt), summed stepwise in log space."""
     _check_prefix(spec, seq)
-    cw = spec.context_window
+    c = _root_context(spec, prompt)
     total = 0.0
-    ids: list = []
-    for t in seq:
-        ctx = tuple(ids[-cw:]) if cw else ()
-        total += float(_context_rows(spec, prompt, ctx)[1][len(ids), t])
-        ids.append(int(t))
-    ctx = tuple(ids[-cw:]) if cw else ()
-    return total + float(_context_rows(spec, prompt, ctx)[1][len(ids), spec.vocab.eos_id])
+    for plen, t in enumerate(seq):
+        total += float(c.log_probs[plen, t])
+        c = c.succ[t] or c.next(t)
+    return total + float(c.log_probs[len(seq), spec.vocab.eos_id])
 
 
 class _Node:
@@ -247,8 +246,9 @@ class ConstrainedSampler:
     (checked against a minimal-completion table, so no path can dead-end
     at the length cap). EOS becomes admissible exactly at completion.
     Step nodes are built lazily, once per (chars consumed, prefix length,
-    context), and linked to their successors the first time a draw takes
-    each edge, so a draw walks node to node with no per-step lookup.
+    _Context), read their rows from that context, and are linked to their
+    successors the first time a draw takes each edge, so a draw walks node
+    to node with no per-step lookup.
     """
 
     def __init__(self, spec: ModelSpec, prompt: str, target: str):
@@ -263,7 +263,7 @@ class ConstrainedSampler:
         self._nodes: dict = {}
         self._root = None
 
-    def _node(self, consumed: int, plen: int, ctx: tuple) -> _Node:
+    def _node(self, consumed: int, plen: int, ctx: _Context) -> _Node:
         key = (consumed, plen, ctx)
         node = self._nodes.get(key)
         if node is None:
@@ -275,18 +275,17 @@ class ConstrainedSampler:
     def _successor(self, node: _Node, j: int) -> _Node:
         consumed, plen, ctx = node.key
         t = node.ids[j]
-        cw = self.spec.context_window
         nxt = self._node(
-            consumed + len(self.spec.vocab.strings[t]), plen + 1, (ctx + (t,))[-cw:] if cw else ()
+            consumed + len(self.spec.vocab.strings[t]), plen + 1, ctx.succ[t] or ctx.next(t)
         )
         node.succ[j] = nxt
         return nxt
 
-    def _build(self, consumed: int, plen: int, ctx: tuple) -> _Node:
+    def _build(self, consumed: int, plen: int, ctx: _Context) -> _Node:
         spec = self.spec
         vocab = spec.vocab
         target = self.target
-        probs, logp = _context_rows(spec, self.prompt, ctx)
+        probs, logp = ctx.probs, ctx.log_probs
         node = _Node()
         if consumed == len(target):
             # completion: the mask leaves EOS alone, so the normalizer is P(EOS)
@@ -324,7 +323,7 @@ class ConstrainedSampler:
         """k independent paths, as a list of (seq, log weight) pairs."""
         root = self._root
         if root is None:
-            root = self._root = self._node(0, 0, ())
+            root = self._root = self._node(0, 0, _root_context(self.spec, self.prompt))
         rand = rng.random
         out = []
         for _ in range(k):

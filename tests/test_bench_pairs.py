@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py's summary of interleaved benchmark pairs."""
 import importlib.util
+import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -50,3 +51,38 @@ def test_summarize_skips_unpaired_runs_and_labels_seeds():
     assert set(out) == {"w", "w --seed 101"}
     assert out["w"]["rate"]["change_better_pairs"] == "1 of 1"
     assert out["w"]["rate"]["parent_median"] == 10.0
+
+
+def test_bad_runs_names_each_failed_run(tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            '{"run_seconds": 1, "workloads": [{"name": "w"}], '
+            '"end_to_end": [{"name": "rate", "better": "higher"}], "per_layer": []}')
+    # hand-made runs of four pairs: a clean one, a nonzero exit, an incorrect
+    # round and failed operations
+    results = iter([
+        {"exit": 0, "correct": True, "attempted": 5, "failed": 0, "rate": 1.0},
+        {"exit": 0, "correct": True, "attempted": 5, "failed": 0, "rate": 1.0},
+        {"exit": 2},
+        {"exit": 0, "correct": True, "attempted": 5, "failed": 0, "rate": 1.0},
+        {"exit": 0, "correct": False, "attempted": 5, "failed": 0, "rate": 1.0},
+        {"exit": 0, "correct": True, "attempted": 5, "failed": 0, "rate": 1.0},
+        {"exit": 0, "correct": True, "attempted": 5, "failed": 0, "rate": 1.0},
+        {"exit": 0, "correct": True, "attempted": 5, "failed": 1, "rate": 1.0},
+    ])
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args: next(results))
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--label", "t", "--pairs", "4"])
+    assert code == 1
+    assert (tmp_path / "change" / "BENCH_t.json").is_file()
+    named = [line for line in capsys.readouterr().err.splitlines() if line.startswith("bad run:")]
+    # the parent runs first in odd pairs and the change in even pairs
+    assert named == [
+        "bad run: w trace 0 pair 2 change: exit 2, correct None, failed None",
+        "bad run: w trace 0 pair 3 parent: exit 0, correct False, failed 0",
+        "bad run: w trace 0 pair 4 parent: exit 0, correct True, failed 1",
+    ]
+    report = json.loads((tmp_path / "change" / "BENCH_t.json").read_text())
+    assert len(bench_pairs.bad_runs(report["runs"])) == 3

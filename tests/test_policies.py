@@ -25,7 +25,6 @@ from tokaudit import (
     str_of,
     top_p_set,
 )
-from tokaudit import policies
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -191,10 +190,6 @@ class TestHeuristicMatchesDefinition:
         # only ids are checked: a valid over-long input comes back unchanged
         long = (2, 2, 2, 2, 2)
         assert heuristic_split_policy(long, 2, 1 - 1e-12, spec, "ab") == long
-
-    def test_top_p_cache_is_bounded(self):
-        maxsize = policies._top_p_at.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
 
 
 class TestApplyPolicy:

@@ -23,8 +23,11 @@ from tokaudit import (
     ConstrainedSample,
     DomainError,
     ModelSpec,
+    PolicySpec,
     TruncationDist,
     Vocabulary,
+    apply_policy,
+    enumerate_output_distribution,
     estimate_length,
     masked_path_log_prob,
     next_token_dist,
@@ -34,17 +37,22 @@ from tokaudit import (
     sequence_log_prob,
     str_of,
 )
-from tokaudit import estimator, load_config
+from tokaudit import estimator, load_config, toymodel
 from tokaudit.tokenspace import min_tokens_to_complete
-from tokaudit.toymodel import _context_rows, _generation_nodes, constrained_sampler
+from tokaudit.toymodel import _root_context, constrained_sampler
+
+
+def _context_node(spec, prompt, ctx):
+    """The prompt's context node for ctx, reached by walking ctx from the root."""
+    c = toymodel._walk(spec, prompt, ctx)
+    assert c.ctx == tuple(ctx)
+    return c
 
 
 def _step_table(spec, prompt, ctx, prefix_len):
-    """(probs, log_probs, CDF) of one prefix length, read from the context rows."""
-    probs, logp = _context_rows(spec, prompt, ctx)
-    cum = np.cumsum(probs[prefix_len]).tolist()
-    cum[-1] = 1.0
-    return probs[prefix_len], logp[prefix_len], cum
+    """(probs, log_probs, CDF) of one prefix length, read from the context node."""
+    c = _context_node(spec, prompt, ctx)
+    return c.probs[prefix_len], c.log_probs[prefix_len], c.cdfs[prefix_len] or c.cdf(prefix_len)
 
 
 class TestModelSpecValidation:
@@ -62,7 +70,7 @@ class TestModelSpecValidation:
 
     @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 2**70])
     def test_rejects_seed_outside_int64(self, vocab_tiny, seed):
-        # _context_rows packs the seed into 8 signed bytes
+        # _Context packs the seed into 8 signed bytes
         with pytest.raises(DomainError, match="seed must lie in"):
             ModelSpec(seed=seed, vocab=vocab_tiny)
 
@@ -478,9 +486,9 @@ class TestStepTablePinned:
                         for c in [(), (ids[0],), (ids[-1], ids[0]), (ids[1], ids[1]),
                                   (ids[2], ids[-1])]}
             for prompt in ("beast", "abc"):
-                nodes = _generation_nodes(spec, prompt)
                 for ctx in contexts:
-                    probs, logp = _context_rows(spec, prompt, ctx)
+                    c = _context_node(spec, prompt, ctx)
+                    probs, logp = c.probs, c.log_probs
                     assert probs.shape == logp.shape == (spec.max_len + 1, spec.vocab.size)
                     assert not probs.flags.writeable and not logp.flags.writeable
                     for plen in range(spec.max_len + 1):
@@ -488,8 +496,7 @@ class TestStepTablePinned:
                             spec, prompt, ctx, plen)
                         assert (probs[plen] == want_probs).all()
                         assert (logp[plen] == want_logp).all()
-                        if plen >= len(ctx):  # a node generation can reach
-                            assert nodes._node(plen, ctx)[-1] == want_cum
+                        assert (c.cdfs[plen] or c.cdf(plen)) == want_cum
 
     def test_next_token_arrays_are_read_only(self, spec_abc):
         for prefix in [(), (1, 2), (1,) * spec_abc.max_len]:
@@ -500,7 +507,7 @@ class TestStepTablePinned:
                     arr[0] = 0.0
 
     def test_context_rows_memo_is_bounded(self):
-        assert _context_rows.cache_info().maxsize is not None
+        assert _root_context.cache_info().maxsize is not None
 
 
 def _per_token_walk(spec, prompt, rng):
@@ -548,16 +555,72 @@ class TestGenerationNodes:
 
     def test_eviction_changes_no_draw(self, vocab_tiny):
         spec = ModelSpec(seed=3, vocab=vocab_tiny, context_window=1, max_len=5)
-        maxsize = _generation_nodes.cache_info().maxsize
+        maxsize = _root_context.cache_info().maxsize
         prompts = [f"p{i}" for i in range(maxsize + 8)]
-        _generation_nodes.cache_clear()
+        _root_context.cache_clear()
         linked = np.random.default_rng(5)
         walk = np.random.default_rng(5)
         for _ in range(2):  # the second pass finds every table evicted
             for prompt in prompts:
                 for _ in range(5):
                     assert sample_sequence(spec, prompt, linked) == _per_token_walk(spec, prompt, walk)
-        info = _generation_nodes.cache_info()
+        info = _root_context.cache_info()
         assert info.currsize == maxsize
         assert info.misses == 2 * len(prompts)
         assert linked.bit_generator.state == walk.bit_generator.state
+
+
+class TestContextTable:
+    """One table of linked contexts per prompt, which every walker shares."""
+
+    @pytest.mark.parametrize("cw", [0, 1, 2])
+    def test_walk_lands_on_last_window(self, spec_abc, cw):
+        spec = dataclasses.replace(spec_abc, context_window=cw, max_len=5)
+        root = _root_context(spec, "abc")
+        ids = spec.vocab.token_ids
+        for n in range(spec.max_len + 1):
+            for prefix in itertools.product(ids[:3], repeat=n):
+                c = toymodel._walk(spec, "abc", prefix)
+                want = prefix[max(n - cw, 0):]
+                assert c.ctx == want
+                assert root.table[want] is c
+
+    def test_each_context_is_built_once(self, monkeypatch, vocab_abc):
+        built = []
+        init = toymodel._Context.__init__
+
+        def counting_init(self, spec, prompt, table, ctx):
+            built.append(ctx)
+            init(self, spec, prompt, table, ctx)
+
+        monkeypatch.setattr(toymodel._Context, "__init__", counting_init)
+        # a seed no other test uses, so the prompt's table starts empty
+        spec = ModelSpec(seed=90_210, vocab=vocab_abc, context_window=2, eos_boost=0.5, max_len=5)
+        prompt = "abc"
+        rng = np.random.default_rng(1)
+        heuristic = PolicySpec.heuristic(2, 0.9)
+        for _ in range(50):
+            seq = sample_sequence(spec, prompt, rng)
+            apply_policy(heuristic, spec, prompt, seq, rng)
+        estimate_length(spec, prompt, "abcab", TruncationDist.poisson(3.0), rng)
+        sequence_log_prob(spec, prompt, (5, 3, 0))
+        enumerate_output_distribution(spec, prompt)
+        table = _root_context(spec, prompt).table
+        assert len(built) == len(set(built)) == len(table)
+        assert set(built) == set(table)
+
+    def test_numpy_ids_walk_like_python_ints(self, spec_abc):
+        # numpy ids walk first, on a prompt no other test uses, so they build
+        # the contexts that the Python ints then must find
+        prompt = "numpy ids"
+        prefix = (5, 0, 4, 1)
+        as_numpy = tuple(np.array(prefix, dtype=np.int64))
+        for n in range(len(prefix) + 1):
+            c = toymodel._walk(spec_abc, prompt, as_numpy[:n])
+            assert all(type(t) is int for t in c.ctx)
+            assert toymodel._walk(spec_abc, prompt, prefix[:n]) is c
+            assert (next_token_dist(spec_abc, prompt, as_numpy[:n]) == c.probs[n]).all()
+            assert (next_token_log_probs(spec_abc, prompt, as_numpy[:n]) == c.log_probs[n]).all()
+        assert sequence_log_prob(spec_abc, prompt, as_numpy) == sequence_log_prob(
+            spec_abc, prompt, prefix)
+        assert all(type(t) is int for ctx in c.table for t in ctx)
