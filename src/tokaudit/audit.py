@@ -27,7 +27,6 @@ from .errors import ConditionsViolated, DomainError, TokenAuditError
 from .estimator import TruncationDist, estimate_length
 from .policies import PolicySpec, apply_policy
 from .rngstream import exact_stream
-from .tokenspace import str_of
 from .toymodel import ModelSpec, sample_sequence
 
 
@@ -41,8 +40,8 @@ class LambdaSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "decreasing"):
             raise DomainError(f"unknown schedule kind {self.kind!r}")
-        if not self.lambda0 > 0:
-            raise DomainError("lambda0 must be positive")
+        if not 0 < self.lambda0 < math.inf:
+            raise DomainError(f"lambda0 must be positive and finite, not {self.lambda0!r}")
 
     @classmethod
     def constant(cls, lambda0: float) -> "LambdaSchedule":
@@ -124,33 +123,21 @@ def update_wealth(
 ) -> WealthState:
     """Advance the wealth process by one evidence value.
 
-    A nonpositive factor does not advance the process; the state comes back
+    A nonpositive or NaN factor does not advance the process; the state comes back
     with the anomaly attached and the audit ends there. The record goes onto
     state.history in place, so advance each state at most once.
     """
     i = state.step + 1
     lam = schedule.at(i)
     factor = 1.0 + lam * e
-    if factor <= 0.0:
+    # a NaN factor is an anomaly too, so no audit ends with a NaN wealth
+    if not factor > 0.0:
         return replace(
             state, anomaly=AnomalyRecord(step=i, evidence=e, lam=lam, factor=factor)
         )
-    rec = EvidenceRecord(
-        step=i,
-        prompt_id=prompt_id,
-        reported_len=reported_len,
-        estimate=estimate,
-        evidence=e,
-        lam=lam,
-        factor=factor,
-    )
-    state.history.append(rec)
-    return WealthState(
-        step=i,
-        log_wealth=state.log_wealth + math.log(factor),
-        history=state.history,
-        anomaly=None,
-    )
+    # positional, in field order: keyword parsing is a measurable share of a step
+    state.history.append(EvidenceRecord(i, prompt_id, reported_len, estimate, e, lam, factor))
+    return WealthState(i, state.log_wealth + math.log(factor), state.history, None)
 
 
 def draw_evidence(spec: ModelSpec, policy: PolicySpec, prompts, trunc: TruncationDist, rng):
@@ -164,7 +151,9 @@ def draw_evidence(spec: ModelSpec, policy: PolicySpec, prompts, trunc: Truncatio
     generated = sample_sequence(spec, q, rng)
     reported = apply_policy(policy, spec, q, generated, rng)
     try:
-        est = estimate_length(spec, q, str_of(reported, spec.vocab), trunc, rng, keep_samples=False)
+        # reported ids come from sample_sequence or a policy that checked them
+        target = "".join(map(spec.vocab.strings.__getitem__, reported))
+        est = estimate_length(spec, q, target, trunc, rng, keep_samples=False)
     except TokenAuditError as err:
         raise type(err)(f"prompt {pid}: {err}") from err
     return pid, reported, est.value
@@ -261,8 +250,8 @@ def calibration_report(
         raise DomainError("n_holdout must be at least 1")
     if not 0 < safety <= 1:
         raise DomainError("safety must lie in (0, 1]")
-    if not cap > 0:
-        raise DomainError("cap must be positive")
+    if not 0 < cap < math.inf:
+        raise DomainError(f"cap must be positive and finite, not {cap!r}")
     if len(prompts) == 0:
         raise DomainError("holdout corpus is empty")
     if rng is None:

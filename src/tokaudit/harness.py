@@ -8,11 +8,12 @@ removing replications never shifts it.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate, islice, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -217,6 +218,8 @@ def _section(raw, name: str, path: Path, base: Path) -> dict:
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise InputError(f"{path}: {key!r} in {name} must be {what}, not {value!r}")
             value = base / value if typ is Path else typ(value)
+            if typ is float and not math.isfinite(value):
+                raise InputError(f"{path}: {key!r} in {name} must be finite, not {value!r}")
         out[key] = value
     return out
 
@@ -410,29 +413,34 @@ TRAJECTORY_COLUMNS = [
     "wealth",
     "flagged",
 ]
+# str for the integer columns and repr for the float ones, as csv.writer would
+_TRAJECTORY_ROW = "%s,%s,%s,%r,%r,%r,%r,%r,%r,%s\n"
 
 
 def write_trajectory_csv(fh, outcome: AuditOutcome):
-    """Write the header and one row per step to the text stream fh."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(TRAJECTORY_COLUMNS)
-    log_w = 0.0
-    for rec in outcome.trajectory:
-        log_w += math.log(rec.factor)
-        writer.writerow(
-            [
-                rec.step,
-                rec.prompt_id,
-                rec.reported_len,
-                repr(rec.estimate),
-                repr(rec.evidence),
-                repr(rec.lam),
-                repr(rec.factor),
-                repr(log_w),
-                repr(math.exp(log_w)),
-                "true" if outcome.flagged and rec.step == outcome.tau else "false",
-            ]
-        )
+    """Write the header and one row per step to the text stream fh.
+
+    Each column is a C-level map over the trajectory and the rows are
+    streamed, never joined into one string. The bytes are csv.writer's:
+    no field holds a comma, a quote or a newline.
+    """
+    fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+    traj = outcome.trajectory
+
+    def column(name):
+        return map(attrgetter(name), traj)
+
+    def log_wealth():
+        # left to right from 0.0, as a running sum; the leading 0.0 is dropped
+        return islice(accumulate(map(math.log, column("factor")), initial=0.0), 1, None)
+
+    flag_step = outcome.tau if outcome.flagged else None
+    flagged = map({flag_step: "true"}.get, column("step"), repeat("false"))
+    fh.writelines(map(_TRAJECTORY_ROW.__mod__, zip(
+        column("step"), column("prompt_id"), column("reported_len"),
+        column("estimate"), column("evidence"), column("lam"), column("factor"),
+        log_wealth(), map(math.exp, log_wealth()), flagged,
+    )))
 
 
 def _outcome_row(outcome: Optional[AuditOutcome]) -> Optional[dict]:

@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
-from .policies import PolicySpec, expected_extra_tokens
-from .tokenspace import Vocabulary, enumerate_tokenizations, str_of
+from .policies import PolicySpec, _heuristic_split, expected_extra_tokens
+from .tokenspace import Vocabulary, enumerate_tokenizations
 from .toymodel import ModelSpec, _root_context, sequence_log_prob
 
 # estimate_length, apply_policy and sample_sequence are unused here, but
@@ -66,8 +66,10 @@ def conditional_expected_lengths(dist: EnumeratedDistribution, vocab: Vocabulary
     the per-string reference exactly.
     """
     groups: dict = {}
+    strings = vocab.strings
+    # the law's ids come from the vocabulary by construction: no check_ids
     for seq, lp in dist.entries:
-        groups.setdefault(str_of(seq, vocab), []).append((lp, len(seq)))
+        groups.setdefault("".join(map(strings.__getitem__, seq)), []).append((lp, len(seq)))
     out = {}
     for s, group in groups.items():
         shift = max(lp for lp, _ in group)
@@ -99,11 +101,18 @@ def law_intensity(
     policy: PolicySpec, spec: ModelSpec, prompt: str, dist: EnumeratedDistribution
 ) -> float:
     """Expected extra reported tokens per output of one prompt, over its output law."""
+    if policy.kind == "heuristic":
+        # the law's ids come from the vocabulary by construction: no check_ids
+        def extra(seq):
+            return len(_heuristic_split(seq, policy.m, policy.p, spec, prompt)) - len(seq)
+    else:
+        def extra(seq):
+            return expected_extra_tokens(policy, spec, prompt, seq)
     num = 0.0
     den = 0.0
     for seq, lp in dist.entries:
         w = math.exp(lp)
-        num += w * expected_extra_tokens(policy, spec, prompt, seq)
+        num += w * extra(seq)
         den += w
     return num / den
 

@@ -108,6 +108,11 @@ def heuristic_split_policy(
     raises DomainError.
     """
     check_ids(generated, spec.vocab)
+    return _heuristic_split(generated, m, p, spec, prompt)
+
+
+def _heuristic_split(generated: TokenSeq, m: int, p: float, spec: ModelSpec, prompt: str):
+    """heuristic_split_policy on ids the caller knows are valid."""
     seq = list(generated)
     if not seq:
         return tuple(generated)

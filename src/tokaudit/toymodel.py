@@ -117,16 +117,24 @@ class _Context:
         x = np.empty((L + 1, logits.size))
         free = x[:L]  # a view: the rows before the length cap
         free[:] = logits
-        free[:, eos] += spec.eos_boost * np.arange(L)
-        free /= spec.temperature
-        free -= free.max(axis=1, keepdims=True)
-        # math.log per row, as one row computes it: np.log's SIMD path may differ
-        log_z = [math.log(z) for z in np.exp(free).sum(axis=1).tolist()]
-        free -= np.array(log_z)[:, None]
+        # a huge eos_boost or a tiny temperature overflows to inf, then nan:
+        # checked below, so numpy need not warn on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            free[:, eos] += spec.eos_boost * np.arange(L)
+            free /= spec.temperature
+            free -= free.max(axis=1, keepdims=True)
+            # math.log per row, as one row computes it: np.log's SIMD path may differ
+            log_z = [math.log(z) for z in np.exp(free).sum(axis=1).tolist()]
+            free -= np.array(log_z)[:, None]
         # hard length cap: generation must stop here
         x[L] = -np.inf
         x[L, eos] = 0.0
         probs = np.exp(x)
+        if not np.isfinite(probs).all():
+            raise DomainError(
+                f"next-token probabilities are not finite (temperature {spec.temperature!r}, "
+                f"eos_boost {spec.eos_boost!r})"
+            )
         probs.setflags(write=False)
         x.setflags(write=False)
         self.spec = spec
@@ -319,8 +327,12 @@ class ConstrainedSampler:
         node.succ = [None] * len(ids)
         return node
 
-    def draw(self, rng, k: int) -> list:
-        """k independent paths, as a list of (seq, log weight) pairs."""
+    def draw(self, rng, k: int, seqs: bool = True) -> list:
+        """k independent paths, as a list of (seq, log weight) pairs.
+
+        With seqs=False the pairs are (length, log weight): the same walk,
+        draws and weights, without building the sequences.
+        """
         root = self._root
         if root is None:
             root = self._root = self._node(0, 0, _root_context(self.spec, self.prompt))
@@ -328,14 +340,22 @@ class ConstrainedSampler:
         out = []
         for _ in range(k):
             node = root
-            ids: list = []
             log_w = 0.0
-            while node.ids is not None:
-                j = bisect_right(node.cum, rand())
-                log_w += node.log_z
-                ids.append(node.ids[j])
-                node = node.succ[j] or self._successor(node, j)
-            out.append((tuple(ids), log_w + node.log_z))
+            if seqs:
+                ids: list = []
+                while node.ids is not None:
+                    j = bisect_right(node.cum, rand())
+                    log_w += node.log_z
+                    ids.append(node.ids[j])
+                    node = node.succ[j] or self._successor(node, j)
+                out.append((tuple(ids), log_w + node.log_z))
+            else:
+                while node.ids is not None:
+                    j = bisect_right(node.cum, rand())
+                    log_w += node.log_z
+                    node = node.succ[j] or self._successor(node, j)
+                # a node's prefix length is the number of steps taken to reach it
+                out.append((node.key[1], log_w + node.log_z))
         return out
 
     def sample(self, rng) -> ConstrainedSample:

@@ -47,6 +47,9 @@ class TestLambdaSchedule:
             LambdaSchedule.constant(0.0)
         with pytest.raises(DomainError):
             LambdaSchedule(kind="nope", lambda0=0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="lambda0 must be positive and finite"):
+                LambdaSchedule.constant(bad)
 
 
 class TestUpdateWealth:
@@ -76,6 +79,18 @@ class TestUpdateWealth:
         assert s1.anomaly.factor == 0.0
         assert s1.anomaly.step == s0.step + 1
         assert len(s1.history) == len(s0.history)
+
+    def test_nan_factor_is_an_anomaly(self):
+        # an evidence of nan gives a nan factor; it must end the audit, not
+        # carry a nan wealth to the end
+        sched = LambdaSchedule.constant(0.5)
+        s0 = update_wealth(WealthState(), 1.0, sched)
+        s1 = update_wealth(s0, math.nan, sched)
+        assert s1.step == s0.step
+        assert s1.log_wealth == s0.log_wealth
+        assert s1.anomaly.step == s0.step + 1
+        assert math.isnan(s1.anomaly.factor) and math.isnan(s1.anomaly.evidence)
+        assert len(s1.history) == 1
 
     def test_decreasing_schedule_uses_step_index(self):
         sched = LambdaSchedule.decreasing(0.5)
@@ -324,6 +339,8 @@ class TestCalibration:
             calibration_report(spec, prompts, trunc, 10, safety=0.0, rng=rng)
         with pytest.raises(DomainError):
             calibration_report(spec, prompts, trunc, 10, cap=0.0, rng=rng)
+        with pytest.raises(DomainError, match="cap must be positive and finite"):
+            calibration_report(spec, prompts, trunc, 10, cap=math.inf, rng=rng)
         with pytest.raises(DomainError):
             calibration_report(spec, (), trunc, 10, rng=rng)
 

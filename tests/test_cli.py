@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through cli.main()."""
 import json
+import math
 
 import pytest
 
@@ -359,6 +360,35 @@ class TestErrorMapping:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("tokaudit: error:")
         assert "seed" in lines[0]
+
+    @pytest.mark.parametrize(
+        "section, key, value, argv, message",
+        [
+            ("truncation", "param", math.inf, (), "'param' in truncation must be finite"),
+            ("truncation", "param", 1e19, (), "poisson rate must lie in (0, 9.2233720064"),
+            ("model", "eos_boost", math.inf, (), "'eos_boost' in model must be finite"),
+            ("model", "eos_boost", 1e308, (), "probabilities are not finite"),
+            ("model", "temperature", 1e-320, (), "probabilities are not finite"),
+            (None, None, None, ("--lambda", "inf"), "'lambda0' in schedule must be finite"),
+        ],
+        ids=["param-Infinity", "param-1e19", "eos_boost-Infinity", "eos_boost-1e308",
+             "temperature-1e-320", "lambda-inf"],
+    )
+    def test_non_finite_or_out_of_range_number_exits_one(
+        self, tiny_config, tmp_path, capsys, section, key, value, argv, message
+    ):
+        cfg = json.loads(tiny_config.read_text())
+        if section is not None:
+            cfg[section][key] = value  # json writes inf as the literal Infinity
+        bad = tmp_path / "number.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = cli.main(["audit", "--config", str(bad), *argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tokaudit: error:")
+        assert message in lines[0]
 
     def test_anomaly_mode_flag_is_gone(self, tiny_config):
         with pytest.raises(SystemExit) as exc:

@@ -22,6 +22,7 @@ from tokaudit import (
     estimate_length,
     weighted_running_mean,
 )
+from tokaudit import estimator
 
 
 def _pmf(trunc, k):
@@ -43,6 +44,19 @@ class TestTruncationDist:
     def test_poisson_needs_positive_rate(self):
         with pytest.raises(DomainError):
             TruncationDist.poisson(0.0)
+
+    def test_poisson_rate_must_be_finite_and_within_numpy_limit(self):
+        # the largest rate numpy's Generator.poisson accepts is accepted; the
+        # next float up, inf and nan are refused before any draw
+        limit = estimator._POISSON_RATE_MAX
+        np.random.default_rng(0).poisson(limit)
+        above = math.nextafter(limit, math.inf)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(above)
+        assert TruncationDist.poisson(limit).param == limit
+        for bad in (above, 1e19, math.inf, math.nan):
+            with pytest.raises(DomainError, match="poisson rate must lie in"):
+                TruncationDist.poisson(bad)
 
     def test_survival_requires_k_at_least_one(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,6 @@
 """Config loading, replication bookkeeping, and output determinism."""
+import csv
+import io
 import json
 import math
 
@@ -9,6 +11,7 @@ from tokaudit import (
     DomainError,
     InputError,
     LambdaSchedule,
+    run_audit,
     ModelSpec,
     PolicySpec,
     PromptCorpus,
@@ -27,7 +30,9 @@ from tokaudit.harness import (
     summary_dict,
     wilson_interval,
     write_outputs,
+    write_trajectory_csv,
 )
+from tokaudit.audit import AuditOutcome, EvidenceRecord
 
 
 class TestPromptCorpus:
@@ -311,6 +316,33 @@ class TestLoadConfig:
             load_config(p)
         assert str(exc.value).endswith(f"{key!r} in {section} must be {what}, not {value!r}")
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("truncation", "param", math.inf),
+            ("model", "eos_boost", math.inf),
+            ("model", "temperature", math.nan),
+            ("calibration", "cap", math.inf),
+            ("config", "alpha", -math.inf),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, configs_dir, tmp_path, section, key, value):
+        # JSON's Infinity and NaN literals parse to floats; no float key takes one
+        cfg = _certified_copy(configs_dir)
+        if section == "config":
+            cfg[key] = value
+        else:
+            cfg.setdefault(section, {})[key] = value
+        p = tmp_path / "nonfinite.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            load_config(p)
+        assert str(exc.value).endswith(f"{key!r} in {section} must be finite, not {value!r}")
+
+    def test_non_finite_override_rejected(self, configs_dir):
+        with pytest.raises(InputError, match="'lambda0' in schedule must be finite, not inf"):
+            load_config(configs_dir / "certified.json", overrides={"lambda0": math.inf})
+
     def test_number_too_large_for_a_float(self, configs_dir, tmp_path):
         cfg = _certified_copy(configs_dir)
         cfg["model"]["temperature"] = 10**400
@@ -490,3 +522,84 @@ class TestReplicationPlumbing:
                 assert trues == [str(outcome.tau)]
             else:
                 assert trues == []
+
+
+def _csv_writer_trajectory(fh, outcome):
+    """write_trajectory_csv as csv.writer wrote it: the byte reference."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(TRAJECTORY_COLUMNS)
+    log_w = 0.0
+    for rec in outcome.trajectory:
+        log_w += math.log(rec.factor)
+        writer.writerow(
+            [
+                rec.step,
+                rec.prompt_id,
+                rec.reported_len,
+                repr(rec.estimate),
+                repr(rec.evidence),
+                repr(rec.lam),
+                repr(rec.factor),
+                repr(log_w),
+                repr(math.exp(log_w)),
+                "true" if outcome.flagged and rec.step == outcome.tau else "false",
+            ]
+        )
+
+
+class TestTrajectoryCsvBytes:
+    """The streamed writer writes csv.writer's bytes, to files and text streams."""
+
+    def _audited(self, vocab_tiny):
+        spec = ModelSpec(seed=7, vocab=vocab_tiny, max_len=6)
+        trunc = TruncationDist.poisson(4.0)
+        runs = {
+            "flagged": (PolicySpec.random(3), 0.3, 200),
+            "censored": (PolicySpec.faithful(), 0.05, 30),
+            "aborted at step 1": (PolicySpec.faithful(), 20.0, 50),
+            "aborted at step 4": (PolicySpec.faithful(), 5.0, 50),
+        }
+        out = {}
+        for name, (policy, lam, max_steps) in runs.items():
+            out[name] = run_audit(spec, policy, ("ab", "ba"), LambdaSchedule.constant(lam),
+                                  0.05, trunc, max_steps, np.random.default_rng(0))
+        assert out["flagged"].flagged and len(out["flagged"].trajectory) > 1
+        assert not out["censored"].flagged and out["censored"].anomaly is None
+        assert out["aborted at step 1"].trajectory == ()
+        assert out["aborted at step 1"].anomaly.step == 1
+        assert out["aborted at step 4"].anomaly.step == 4
+        return out
+
+    def _hand_built(self):
+        nan = float("nan")
+        recs = (
+            EvidenceRecord(1, 0, 3, nan, -0.0, 1e-05, 1.0),
+            EvidenceRecord(2, 1, 0, 1e16, 1e-05, 0.25, 1e16),
+            EvidenceRecord(3, 2, 7, -0.0, -1e16, 1e-05, 1e-05),
+            EvidenceRecord(4, 0, 2, 2.5, nan, 0.1, 1.0000000000000002),
+        )
+        return {
+            "tau mid-trajectory": AuditOutcome(True, 2, recs, 0.0),
+            "tau on the last row": AuditOutcome(True, 4, recs, 0.0),
+            "flagged without tau": AuditOutcome(True, None, recs, 0.0),
+            "tau set but unflagged": AuditOutcome(False, 3, recs, 0.0),
+        }
+
+    def test_matches_csv_writer(self, vocab_tiny, tmp_path):
+        outcomes = {**self._audited(vocab_tiny), **self._hand_built()}
+        for name, outcome in outcomes.items():
+            want, got = io.StringIO(), io.StringIO()
+            _csv_writer_trajectory(want, outcome)
+            write_trajectory_csv(got, outcome)
+            assert got.getvalue() == want.getvalue(), name
+            # a file opened as write_outputs opens it
+            for fn, path in ((_csv_writer_trajectory, tmp_path / "want.csv"),
+                             (write_trajectory_csv, tmp_path / "got.csv")):
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fn(fh, outcome)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        text = io.StringIO()
+        write_trajectory_csv(text, outcomes["tau mid-trajectory"])
+        rows = text.getvalue().splitlines()[1:]
+        assert rows[0] == "1,0,3,nan,-0.0,1e-05,1.0,0.0,1.0,false"
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["false", "true", "false", "false"]

@@ -4,6 +4,7 @@ Weight identities are the load-bearing part: a constrained sample's
 log_weight must equal both the sum of step normalizers and the gap
 between the free-model path probability and the masked path probability.
 """
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -12,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -38,6 +40,7 @@ from tokaudit import (
     str_of,
 )
 from tokaudit import estimator, load_config, toymodel
+from tokaudit.rngstream import exact_stream
 from tokaudit.tokenspace import min_tokens_to_complete
 from tokaudit.toymodel import _root_context, constrained_sampler
 
@@ -162,6 +165,19 @@ class TestNextTokenDist:
         p0 = next_token_dist(base, "ab", prefix)[vocab_tiny.eos_id]
         p1 = next_token_dist(keen, "ab", prefix)[vocab_tiny.eos_id]
         assert p1 > p0
+
+    @pytest.mark.parametrize("kw", [dict(eos_boost=1e308), dict(temperature=1e-320)],
+                             ids=["eos_boost=1e308", "temperature=1e-320"])
+    def test_overflowing_rows_are_a_domain_error(self, vocab_tiny, kw):
+        # finite settings whose softmax overflows to inf and then nan: refused
+        # when the context is built, with no numpy warning on the way
+        spec = ModelSpec(seed=5, vocab=vocab_tiny, max_len=8, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="probabilities are not finite"):
+                next_token_dist(spec, "ab", ())
+            with pytest.raises(DomainError, match="probabilities are not finite"):
+                sample_sequence(spec, "ab", np.random.default_rng(0))
 
     def test_rejects_overlong_prefix(self, spec_tiny4):
         with pytest.raises(DomainError):
@@ -393,6 +409,32 @@ class TestDrawStreamPinned:
                     assert dropped.k_used == kept.k_used == len(kept.samples)
                     assert dropped.samples == ()
                 assert rng_dropped.bit_generator.state == rng_kept.bit_generator.state
+
+
+class TestLengthOnlyDraw:
+    """draw(rng, k, seqs=False) walks the same paths as draw(rng, k): the
+    same lengths, the same weights bit for bit and the same RNG stream."""
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["numpy", "exact_stream"])
+    def test_matches_sequence_draw(self, streamed, vocab_tiny, vocab_abc, vocab_default):
+        def draws(sampler, rng, **kw):
+            out = []
+            with exact_stream(rng) if streamed else contextlib.nullcontext(rng) as source:
+                for k in (1, 2, 7, 50, 300):
+                    out += sampler.draw(source, k, **kw)
+            return out
+
+        for spec, prompt, targets in _stream_cases(vocab_tiny, vocab_abc, vocab_default):
+            for target in targets:
+                # one fresh sampler per form, so each builds its own lattice
+                rng_seqs = np.random.default_rng(8)
+                rng_lens = np.random.default_rng(8)
+                by_seq = draws(toymodel.ConstrainedSampler(spec, prompt, target), rng_seqs)
+                by_len = draws(toymodel.ConstrainedSampler(spec, prompt, target), rng_lens,
+                               seqs=False)
+                assert by_len == [(len(seq), w) for seq, w in by_seq]
+                assert all(type(n) is int for n, _ in by_len)
+                assert rng_lens.bit_generator.state == rng_seqs.bit_generator.state
 
 
 class TestSamplerCacheEviction:
