@@ -151,10 +151,9 @@ def _cmd_audit(config: RunConfig) -> int:
 def _cmd_replicate(config: RunConfig) -> int:
     summary = run_replications(config)
     print(json.dumps(summary.aggregates(), indent=2, sort_keys=True))
-    if summary.errors:
-        for r, msg in summary.errors:
-            print(f"replication {r} failed: {msg}", file=sys.stderr)
-    return 0
+    for r, msg in summary.errors:
+        print(f"replication {r} failed: {msg}", file=sys.stderr)
+    return 1 if summary.errors else 0
 
 
 def _cmd_calibrate(config: RunConfig) -> int:

@@ -12,14 +12,12 @@ contributes the empty sum, i.e. zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, InvariantViolation
-from .toymodel import ConstrainedSample, ModelSpec, constrained_sampler
-
-# the largest rate numpy's Generator.poisson accepts: int64 max - 10 * sqrt(int64 max)
-_POISSON_RATE_MAX = 9.223372006484771e18
+from .toymodel import ModelSpec, constrained_sampler
 
 
 @dataclass(frozen=True)
@@ -38,20 +36,18 @@ class TruncationDist:
             raise DomainError(
                 f"unknown truncation kind {self.kind!r} (only 'poisson' is supported)"
             )
-        if not 0 < self.param <= _POISSON_RATE_MAX:
+        # _poisson_survival(rate, 1) sums upward from P(K = 1) = rate * exp(-rate);
+        # a subnormal start makes it read low, then zero (rates past 714.9686572379665)
+        rate = self.param
+        if not (rate > 0 and math.exp(math.log(rate) - rate) >= sys.float_info.min):
             raise DomainError(
-                f"poisson rate must lie in (0, {_POISSON_RATE_MAX!r}], not {self.param!r}"
+                f"poisson rate {rate!r} is out of range: the survival sum needs "
+                f"P(K = 1) = rate * exp(-rate) >= {sys.float_info.min!r} (rates up to ~714.97)"
             )
 
     @classmethod
     def poisson(cls, rate: float) -> "TruncationDist":
         return cls("poisson", float(rate))
-
-    def survival(self, k: int) -> float:
-        """P(K >= k), for k >= 1."""
-        if k < 1:
-            raise DomainError("survival is defined for k >= 1")
-        return self.survivals(k)[k]
 
     def survivals(self, k: int) -> list:
         """[P(K >= 0), ..., P(K >= k)]: one list per law, grown on demand."""
@@ -128,19 +124,20 @@ def estimate_length(
     Draws K ~ trunc, then K constrained samples, and returns
     sum_k (R_k - R_{k-1}) / P(K >= k) where R_k is the weighted running
     mean (R_0 = 0). The running mean is maintained incrementally with the
-    same exponent-shifting scheme as weighted_running_mean. With
-    keep_samples=False the sampler draws path lengths only, with the same
-    draws and weights, and samples is empty.
+    same exponent-shifting scheme as weighted_running_mean. The samples
+    come from sampler.sample; with keep_samples=False the sampler's draw
+    walks the same paths for their lengths only, and samples is empty.
     """
     sampler = constrained_sampler(spec, prompt, target)
     k_total = trunc.sample(rng)
     if k_total == 0:
         return LengthEstimate(0.0, 0, ())
     if keep_samples:
-        paths = sampler.draw(rng, k_total)
-        drawn = [(len(seq), lw) for seq, lw in paths]
+        samples = tuple(sampler.sample(rng) for _ in range(k_total))
+        drawn = [(len(s.seq), s.log_weight) for s in samples]
     else:
-        drawn = sampler.draw(rng, k_total, seqs=False)
+        samples = ()
+        drawn = sampler.draw(rng, k_total)
     survival = trunc.survivals(k_total)
     value = 0.0
     prev = 0.0
@@ -160,6 +157,5 @@ def estimate_length(
         r = num / den
         value += (r - prev) / survival[k]
         prev = r
-    samples = tuple(ConstrainedSample(seq, lw) for seq, lw in paths) if keep_samples else ()
     # positional, in field order: keyword parsing is a measurable share of an estimate
     return LengthEstimate(value, k_total, samples)

@@ -129,6 +129,9 @@ class RunConfig:
             raise DomainError("max_steps must be at least 1")
         if self.replications < 1:
             raise DomainError("replications must be at least 1")
+        # np.random.SeedSequence takes nonnegative entropy only
+        if self.master_seed < 0:
+            raise DomainError(f"master_seed must be nonnegative, not {self.master_seed}")
         if self.schedule is None and self.holdout is None:
             raise DomainError("calibration requested but no holdout corpus configured")
         if self.holdout is not None:
@@ -144,7 +147,7 @@ class RunConfig:
 # of the same name. A key not listed here is an error at every level. Values
 # are checked, never coerced (see _JSON_TYPES). Path values resolve relative
 # to the config file's directory; value ranges are checked by the objects the
-# sections build, except master_seed's, which load_config checks.
+# sections build, and load_config names the file in their errors.
 REQUIRED = object()
 CONFIG_SCHEMA = {
     "config": {
@@ -257,11 +260,6 @@ def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
             schedule = LambdaSchedule(**section("schedule"))
         calib = section("calibration")
         top = section("config")
-        if top["master_seed"] < 0:
-            # np.random.SeedSequence takes nonnegative entropy only
-            raise InputError(
-                f"{path}: 'master_seed' in config must be nonnegative, not {top['master_seed']}"
-            )
         return RunConfig(
             model=ModelSpec(**{**model, "vocab": load_vocabulary(model["vocab"])}),
             policy=policy,
@@ -273,8 +271,8 @@ def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
             lambda_cap=calib["cap"],
             **{**top, "corpus": load_corpus(top["corpus"])},
         )
-    except DomainError:
-        raise
+    except DomainError as err:
+        raise DomainError(f"{path}: {err}") from err
     except (TypeError, ValueError, OverflowError) as err:
         raise InputError(f"{path}: bad config value ({err})") from err
 
@@ -330,10 +328,14 @@ class ReplicationSummary:
         }
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+_WILSON_Z = 1.959963984540054  # the standard normal's 97.5% quantile: 95% intervals
+
+
+def wilson_interval(successes: int, n: int):
+    """Wilson score interval at level 95% for a binomial proportion."""
     if n <= 0:
         raise DomainError("n must be positive")
+    z = _WILSON_Z
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

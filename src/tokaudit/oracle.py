@@ -20,6 +20,9 @@ from .estimator import estimate_length
 from .policies import apply_policy
 from .toymodel import sample_sequence
 
+# Most sequences enumerate_output_distribution lists before giving up.
+_OUTPUT_TREE_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class EnumeratedDistribution:
@@ -29,14 +32,14 @@ class EnumeratedDistribution:
     total_mass: float
 
 
-def enumerate_output_distribution(
-    spec: ModelSpec, prompt: str, cap: int = 100_000
-) -> EnumeratedDistribution:
+def enumerate_output_distribution(spec: ModelSpec, prompt: str) -> EnumeratedDistribution:
     """Every sequence the model can emit, with its exact log probability.
 
     Entries are in preorder: a prefix, then its extensions by ascending id.
     Each log probability is summed left to right, as sequence_log_prob does.
+    Raises ResourceLimitError past _OUTPUT_TREE_CAP sequences.
     """
+    cap = _OUTPUT_TREE_CAP
     eos = spec.vocab.eos_id
     out: list = []
     rows: dict = {}  # per context, its log-prob rows as lists, converted once

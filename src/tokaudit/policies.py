@@ -18,6 +18,8 @@ from .tokenspace import TokenSeq, Vocabulary, check_ids, pair_splits, valid_spli
 from .toymodel import ModelSpec, _root_context
 
 _KINDS = ("faithful", "random", "heuristic")
+# Most (sequence, budget) states one random-policy expectation memoizes.
+_RANDOM_STATE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -156,24 +158,24 @@ def expected_extra_tokens(
     spec: ModelSpec,
     prompt: str,
     generated: TokenSeq,
-    *,
-    state_cap: int = 10_000,
 ) -> float:
     """Expected reported-minus-generated length for one generated sequence.
 
     Exact for the faithful (zero) and heuristic (deterministic) policies.
     For the random policy the split lattice is enumerated exactly; past
-    state_cap memoized states it raises ResourceLimitError.
+    _RANDOM_STATE_CAP memoized states it raises ResourceLimitError. An
+    invalid id in generated raises DomainError under both splitting kinds.
     """
     if policy.kind == "faithful":
         return 0.0
+    check_ids(generated, spec.vocab)
     if policy.kind == "heuristic":
-        out = heuristic_split_policy(generated, policy.m, policy.p, spec, prompt)
+        out = _heuristic_split(generated, policy.m, policy.p, spec, prompt)
         return float(len(out) - len(generated))
-    return _random_extra_exact(tuple(generated), policy.m, spec.vocab, {}, state_cap)
+    return _random_extra_exact(tuple(generated), policy.m, spec.vocab, {})
 
 
-def _random_extra_exact(s: tuple, r: int, vocab: Vocabulary, memo: dict, state_cap: int) -> float:
+def _random_extra_exact(s: tuple, r: int, vocab: Vocabulary, memo: dict) -> float:
     # module-level recursion with the memo passed in: a self-referencing
     # closure would be a reference cycle that keeps the memo alive until a
     # full garbage collection
@@ -183,8 +185,8 @@ def _random_extra_exact(s: tuple, r: int, vocab: Vocabulary, memo: dict, state_c
     cached = memo.get(key)
     if cached is not None:
         return cached
-    if len(memo) >= state_cap:
-        raise ResourceLimitError(f"random-policy split lattice exceeded {state_cap} states")
+    if len(memo) >= _RANDOM_STATE_CAP:
+        raise ResourceLimitError(f"random-policy split lattice exceeded {len(memo)} states")
     splits = valid_splits(s, vocab)
     if not splits:
         val = 0.0
@@ -192,7 +194,7 @@ def _random_extra_exact(s: tuple, r: int, vocab: Vocabulary, memo: dict, state_c
         total = 0.0
         for i, a, b in splits:
             child = s[:i] + (a, b) + s[i + 1 :]
-            total += _random_extra_exact(child, r - 1, vocab, memo, state_cap)
+            total += _random_extra_exact(child, r - 1, vocab, memo)
         val = 1.0 + total / len(splits)
     memo[key] = val
     return val

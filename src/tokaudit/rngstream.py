@@ -12,12 +12,13 @@ returned, in the same order:
 - poisson(lam), 0 < lam < 10: the multiplication method, multiplying
   uniforms until the product falls to exp(-lam) or below.
 
-Any other argument puts the generator back where numpy's calls would have
-left it, asks numpy, and reads its state afresh. On exit the unread raw
-values are rewound and the buffered half-word restored, so the generator's
-state is the one numpy's own calls would have left. The rules are numpy
-2.x's (NEP 19 does not fix Generator streams across versions), and the
-stream tests compare them with the installed numpy value for value.
+Any other argument, a Poisson rate of 10 or more (numpy's PTRS method)
+among them, puts the generator back where numpy's calls would have left
+it, asks numpy, and reads its state afresh. On exit the unread raw values
+are rewound and the buffered half-word restored, so the generator's state
+is the one numpy's own calls would have left. The rules are numpy 2.x's
+(NEP 19 does not fix Generator streams across versions), and the stream
+tests compare them with the installed numpy value for value.
 """
 
 from __future__ import annotations
@@ -134,12 +135,9 @@ class BlockStream:
 
 
 @contextmanager
-def exact_stream(rng, poisson_lam=None):
+def exact_stream(rng):
     """Yield a BlockStream over rng when it is a PCG64 Generator, else rng itself.
 
-    poisson_lam is the rate the caller's loop passes to poisson(), if any.
-    At lam >= 10 the stream would hand every poisson() call to numpy, with
-    a state round trip each time, so there rng itself is yielded too.
     The generator's state on exit, also after an exception, is the one
     numpy's own calls would have left.
     """
@@ -147,8 +145,7 @@ def exact_stream(rng, poisson_lam=None):
     # the package would add its import time to every start-up
     from numpy.random import PCG64, Generator
 
-    if (type(rng) is not Generator or type(rng.bit_generator) is not PCG64
-            or poisson_lam is not None and not poisson_lam < _POISSON_MULT_MAX):
+    if type(rng) is not Generator or type(rng.bit_generator) is not PCG64:
         yield rng
         return
     stream = BlockStream(rng)

@@ -26,6 +26,8 @@ TokenSeq = tuple
 # vocabularies need a few dozen (5 characters and tokens of up to 2 give
 # 5 + 25 = 30); the cap bounds what arbitrary targets can add.
 _MATCH_TABLE_CAP = 4096
+# Most tokenizations enumerate_tokenizations lists before giving up.
+_TOKENIZATION_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -155,14 +157,13 @@ def valid_splits(seq: TokenSeq, vocab: Vocabulary) -> tuple:
     return tuple(out)
 
 
-def enumerate_tokenizations(target: str, vocab: Vocabulary, cap: int = 100_000) -> list:
+def enumerate_tokenizations(target: str, vocab: Vocabulary) -> list:
     """All token sequences whose concatenation equals target.
 
     Depth-first over token boundaries; results sorted by (length, ids).
-    Raises ResourceLimitError if more than cap tokenizations exist.
+    Raises ResourceLimitError if more than _TOKENIZATION_CAP exist.
     """
-    if cap < 1:
-        raise DomainError("cap must be at least 1")
+    cap = _TOKENIZATION_CAP
     n = len(target)
     matches = [vocab.matches_at(target, i) for i in range(n)]
     out: list = []

@@ -269,7 +269,6 @@ class ConstrainedSampler:
                 f"target {target!r} is not producible within max_len={spec.max_len}"
             )
         self._nodes: dict = {}
-        self._root = None
 
     def _node(self, consumed: int, plen: int, ctx: _Context) -> _Node:
         key = (consumed, plen, ctx)
@@ -327,40 +326,38 @@ class ConstrainedSampler:
         node.succ = [None] * len(ids)
         return node
 
-    def draw(self, rng, k: int, seqs: bool = True) -> list:
-        """k independent paths, as a list of (seq, log weight) pairs.
+    @cached_property
+    def _root(self) -> _Node:
+        return self._node(0, 0, _root_context(self.spec, self.prompt))
 
-        With seqs=False the pairs are (length, log weight): the same walk,
-        draws and weights, without building the sequences.
-        """
+    def draw(self, rng, k: int) -> list:
+        """(length, log weight) of k paths: the walks of k sample() calls, tokens unrecorded."""
         root = self._root
-        if root is None:
-            root = self._root = self._node(0, 0, _root_context(self.spec, self.prompt))
         rand = rng.random
         out = []
         for _ in range(k):
             node = root
             log_w = 0.0
-            if seqs:
-                ids: list = []
-                while node.ids is not None:
-                    j = bisect_right(node.cum, rand())
-                    log_w += node.log_z
-                    ids.append(node.ids[j])
-                    node = node.succ[j] or self._successor(node, j)
-                out.append((tuple(ids), log_w + node.log_z))
-            else:
-                while node.ids is not None:
-                    j = bisect_right(node.cum, rand())
-                    log_w += node.log_z
-                    node = node.succ[j] or self._successor(node, j)
-                # a node's prefix length is the number of steps taken to reach it
-                out.append((node.key[1], log_w + node.log_z))
+            while node.ids is not None:
+                j = bisect_right(node.cum, rand())
+                log_w += node.log_z
+                node = node.succ[j] or self._successor(node, j)
+            # a node's prefix length is the number of steps taken to reach it
+            out.append((node.key[1], log_w + node.log_z))
         return out
 
     def sample(self, rng) -> ConstrainedSample:
-        (seq, log_w), = self.draw(rng, 1)
-        return ConstrainedSample(seq=seq, log_weight=log_w)
+        """One path with its tokens: one rng.random() per token."""
+        node = self._root
+        rand = rng.random
+        ids: list = []
+        log_w = 0.0
+        while node.ids is not None:
+            j = bisect_right(node.cum, rand())
+            log_w += node.log_z
+            ids.append(node.ids[j])
+            node = node.succ[j] or self._successor(node, j)
+        return ConstrainedSample(tuple(ids), log_w + node.log_z)
 
 
 # Most targets are estimated once, so a larger cache holds lattices that are

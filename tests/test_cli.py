@@ -119,6 +119,29 @@ class TestReplicateCommand:
         assert (outdir / "trajectory_0.csv").exists()
         assert (outdir / "trajectory_2.csv").exists()
 
+    @pytest.mark.parametrize("command", ["replicate", "fpr"])
+    def test_failed_replication_exits_one(self, tiny_config, tmp_path, capsys, command):
+        # every step's next-token row overflows, so each replication fails
+        cfg = json.loads(tiny_config.read_text())
+        cfg["model"]["eos_boost"] = 1e308
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        outdir = tmp_path / "failed_out"
+        rc = cli.main([command, "--config", str(bad), "--replications", "2",
+                       "--max-steps", "5", "--out", str(outdir)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        agg = json.loads(captured.out)
+        assert (agg["replications"], agg["completed"]) == (2, 0)
+        lines = captured.err.splitlines()
+        assert [ln.split(":")[0] for ln in lines] == [
+            "replication 0 failed", "replication 1 failed"
+        ]
+        assert all("probabilities are not finite" in ln for ln in lines)
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert [e["replication"] for e in summary["errors"]] == [0, 1]
+        assert not list(outdir.glob("trajectory_*.csv"))
+
 
 class TestSeedPrecedence:
     def _trajectory(self, tiny_config, capsys, argv_extra=()):
@@ -358,21 +381,23 @@ class TestErrorMapping:
         assert rc == 1
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("tokaudit: error:")
+        assert len(lines) == 1 and lines[0].startswith(f"tokaudit: error: {bad}: ")
         assert "seed" in lines[0]
 
     @pytest.mark.parametrize(
         "section, key, value, argv, message",
         [
             ("truncation", "param", math.inf, (), "'param' in truncation must be finite"),
-            ("truncation", "param", 1e19, (), "poisson rate must lie in (0, 9.2233720064"),
+            ("truncation", "param", 1e19, (), "poisson rate 1e+19 is out of range"),
+            ("truncation", "param", 751.0, (), "poisson rate 751.0 is out of range"),
             ("model", "eos_boost", math.inf, (), "'eos_boost' in model must be finite"),
-            ("model", "eos_boost", 1e308, (), "probabilities are not finite"),
-            ("model", "temperature", 1e-320, (), "probabilities are not finite"),
+            ("model", "eos_boost", 1e308, (), "audit step 1, next-token probabilities are not"),
+            ("model", "temperature", 1e-320, (), "audit step 1, next-token probabilities are not"),
+            ("model", "temperature", -1.0, (), "temperature must be positive"),
             (None, None, None, ("--lambda", "inf"), "'lambda0' in schedule must be finite"),
         ],
-        ids=["param-Infinity", "param-1e19", "eos_boost-Infinity", "eos_boost-1e308",
-             "temperature-1e-320", "lambda-inf"],
+        ids=["param-Infinity", "param-1e19", "param-751", "eos_boost-Infinity",
+             "eos_boost-1e308", "temperature-1e-320", "temperature-negative", "lambda-inf"],
     )
     def test_non_finite_or_out_of_range_number_exits_one(
         self, tiny_config, tmp_path, capsys, section, key, value, argv, message
@@ -387,7 +412,9 @@ class TestErrorMapping:
         assert rc == 1
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("tokaudit: error:")
+        # errors found while loading name the config file; overflow shows at a step
+        head = "" if message.startswith("audit step") else f"{bad}: "
+        assert len(lines) == 1 and lines[0].startswith(f"tokaudit: error: {head}")
         assert message in lines[0]
 
     def test_anomaly_mode_flag_is_gone(self, tiny_config):

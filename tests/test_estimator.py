@@ -22,11 +22,10 @@ from tokaudit import (
     estimate_length,
     weighted_running_mean,
 )
-from tokaudit import estimator
 
 
 def _pmf(trunc, k):
-    """P(K = k), written out as a reference for survival()."""
+    """P(K = k), written out as a reference for survivals()."""
     return math.exp(-trunc.param + k * math.log(trunc.param) - math.lgamma(k + 1))
 
 
@@ -46,21 +45,29 @@ class TestTruncationDist:
             TruncationDist.poisson(0.0)
 
     def test_poisson_rate_must_be_finite_and_within_numpy_limit(self):
-        # the largest rate numpy's Generator.poisson accepts is accepted; the
-        # next float up, inf and nan are refused before any draw
-        limit = estimator._POISSON_RATE_MAX
+        # numpy's largest rate, the next float up, inf and nan are all past
+        # the survival sum's bound, so each is refused before any draw
+        limit = 9.223372006484771e18  # int64 max - 10 * sqrt(int64 max)
         np.random.default_rng(0).poisson(limit)
         above = math.nextafter(limit, math.inf)
         with pytest.raises(ValueError, match="lam value too large"):
             np.random.default_rng(0).poisson(above)
-        assert TruncationDist.poisson(limit).param == limit
-        for bad in (above, 1e19, math.inf, math.nan):
-            with pytest.raises(DomainError, match="poisson rate must lie in"):
+        for bad in (limit, above, 1e19, math.inf, math.nan):
+            with pytest.raises(DomainError, match="poisson rate .* is out of range"):
                 TruncationDist.poisson(bad)
 
-    def test_survival_requires_k_at_least_one(self):
-        with pytest.raises(DomainError):
-            TruncationDist.poisson(3.0).survival(0)
+    def test_poisson_rate_must_keep_the_survival_sum_representable(self):
+        # the upward sum for P(K >= 1) starts at rate * exp(-rate); past
+        # ~714.97 that term is subnormal and P(K >= 1) reads low (0.94 at
+        # 751), then 0.0 from 752 up
+        bound = 714.9686572379665
+        for good in (4.0, 7.0, 714.0, bound):
+            trunc = TruncationDist.poisson(good)
+            assert trunc.param == good
+            assert math.isclose(trunc.survivals(1)[1], -math.expm1(-good), rel_tol=1e-12)
+        for bad in (math.nextafter(bound, math.inf), 748.0, 751.0, 1e-310):
+            with pytest.raises(DomainError, match=f"poisson rate {bad!r} is out of range"):
+                TruncationDist.poisson(bad)
 
     @pytest.mark.parametrize(
         "trunc",
@@ -72,7 +79,7 @@ class TestTruncationDist:
     )
     def test_pmf_is_survival_difference(self, trunc):
         for k in range(1, 30):
-            diff = trunc.survival(k) - trunc.survival(k + 1)
+            diff = trunc.survivals(k)[k] - trunc.survivals(k + 1)[k + 1]
             assert math.isclose(_pmf(trunc, k), diff, rel_tol=1e-12, abs_tol=1e-300)
 
     def test_poisson_survival_matches_term_sum(self):
@@ -83,14 +90,14 @@ class TestTruncationDist:
                 for j in range(k, k + 200)
             )
             assert math.isclose(
-                TruncationDist.poisson(rate).survival(k), direct, rel_tol=1e-10
+                TruncationDist.poisson(rate).survivals(k)[k], direct, rel_tol=1e-10
             )
 
     def test_pmf_sums_to_one(self):
         for trunc in (TruncationDist.poisson(4.0), TruncationDist.poisson(0.5)):
             total = sum(_pmf(trunc, k) for k in range(0, 200))
             assert math.isclose(total, 1.0, rel_tol=1e-12)
-            assert math.isclose(trunc.survival(1), total - _pmf(trunc, 0), rel_tol=1e-12)
+            assert math.isclose(trunc.survivals(1)[1], total - _pmf(trunc, 0), rel_tol=1e-12)
 
     def test_sample_is_one_poisson_draw(self):
         trunc = TruncationDist.poisson(7.0)
@@ -174,7 +181,7 @@ class TestEstimateLength:
             weighted_running_mean(est.samples, k) for k in range(1, est.k_used + 1)
         ]
         ref = sum(
-            (running[k] - running[k - 1]) / trunc.survival(k)
+            (running[k] - running[k - 1]) / trunc.survivals(k)[k]
             for k in range(1, est.k_used + 1)
         )
         assert math.isclose(est.value, ref, rel_tol=1e-12)
@@ -187,7 +194,7 @@ class TestEstimateLength:
         # only one way to spell "abba", so R_k = 4 always and the telescoping
         # sum collapses to 4 / P(K >= 1) whenever K >= 1 and to 0 otherwise;
         # the mean of that two-point law is exactly 4
-        lifted = 4.0 / trunc.survival(1)
+        lifted = 4.0 / trunc.survivals(1)[1]
         for _ in range(30):
             est = estimate_length(spec, "ab", "abba", trunc, rng)
             if est.k_used > 0:

@@ -356,10 +356,37 @@ class TestLoadConfig:
             load_config(configs_dir / "certified.json", overrides={"max_steps": 2.5})
 
     def test_negative_master_seed_rejected(self, configs_dir):
-        # a negative seed is no SeedSequence entropy; zero is
-        with pytest.raises(InputError, match="'master_seed' in config must be nonnegative"):
-            load_config(configs_dir / "certified.json", overrides={"master_seed": -1})
-        assert load_config(configs_dir / "certified.json", {"master_seed": 0}).master_seed == 0
+        # a negative seed is no SeedSequence entropy; zero is. RunConfig checks
+        # it, as it checks alpha, and load_config names the file
+        path = configs_dir / "certified.json"
+        with pytest.raises(DomainError) as exc:
+            load_config(path, overrides={"master_seed": -1})
+        assert str(exc.value) == f"{path}: master_seed must be nonnegative, not -1"
+        assert load_config(path, {"master_seed": 0}).master_seed == 0
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("model", "temperature", -1.0, "temperature must be positive"),
+            ("truncation", "param", 751.0, "poisson rate 751.0 is out of range"),
+            ("config", "alpha", 2.0, "alpha must lie in (0, 1)"),
+            ("policy", "m", -1, "split budget m must be nonnegative"),
+        ],
+    )
+    def test_range_errors_name_the_file(self, configs_dir, tmp_path, section, key, value,
+                                        message):
+        cfg = _certified_copy(configs_dir)
+        if section == "config":
+            cfg[key] = value
+        else:
+            cfg.setdefault(section, {})[key] = value
+        p = tmp_path / "range.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.raises(DomainError) as exc:
+            load_config(p)
+        assert str(exc.value).startswith(f"{p}: {message}")
+        assert type(exc.value.__cause__) is DomainError
+        assert str(exc.value.__cause__).startswith(message)
 
     def test_number_keys_take_json_integers(self, configs_dir, tmp_path):
         cfg = _certified_copy(configs_dir)

@@ -27,6 +27,7 @@ from tokaudit import (
     sequence_log_prob,
     str_of,
 )
+from tokaudit import oracle
 
 
 def _recursive_law(spec, prompt):
@@ -65,9 +66,10 @@ class TestEnumerateOutputDistribution:
                 lp, sequence_log_prob(spec_tiny_short, "ba", seq), rel_tol=0, abs_tol=1e-10
             )
 
-    def test_cap_enforced(self, spec_tiny_short):
-        with pytest.raises(ResourceLimitError):
-            enumerate_output_distribution(spec_tiny_short, "ab", cap=10)
+    def test_cap_enforced(self, spec_tiny_short, monkeypatch):
+        monkeypatch.setattr(oracle, "_OUTPUT_TREE_CAP", 10)
+        with pytest.raises(ResourceLimitError, match="exceeded 10 sequences"):
+            enumerate_output_distribution(spec_tiny_short, "ab")
 
     @pytest.mark.parametrize("cw", [None, 0, 1])
     def test_entries_in_recursive_preorder(self, spec_tiny_short, cw):

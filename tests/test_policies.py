@@ -25,6 +25,7 @@ from tokaudit import (
     str_of,
     top_p_set,
 )
+from tokaudit import policies
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -248,8 +249,15 @@ class TestExpectedExtraTokens:
         se = float(np.std(draws, ddof=1) / math.sqrt(len(draws)))
         assert abs(mean - exact) < 4 * max(se, 1e-12)
 
-    def test_state_cap_raises_without_rng(self, spec_abc):
-        with pytest.raises(ResourceLimitError):
-            expected_extra_tokens(
-                PolicySpec.random(3), spec_abc, "ab", (5, 5, 5), state_cap=1
-            )
+    def test_state_cap_raises_without_rng(self, spec_abc, monkeypatch):
+        monkeypatch.setattr(policies, "_RANDOM_STATE_CAP", 1)
+        with pytest.raises(ResourceLimitError, match="exceeded 1 states"):
+            expected_extra_tokens(PolicySpec.random(3), spec_abc, "ab", (5, 5, 5))
+
+    @pytest.mark.parametrize("policy", [PolicySpec.random(2), PolicySpec.heuristic(2, 0.9)],
+                             ids=["random", "heuristic"])
+    @pytest.mark.parametrize("bad", ["out-of-range", "eos"])
+    def test_invalid_id_is_a_domain_error(self, spec_abc, policy, bad):
+        t = 99 if bad == "out-of-range" else spec_abc.vocab.eos_id
+        with pytest.raises(DomainError, match=f"invalid token id {t} at position 1"):
+            expected_extra_tokens(policy, spec_abc, "ab", (5, t))

@@ -22,7 +22,6 @@ from tokaudit import (
     evidence_moments,
     run_audit,
 )
-from tokaudit import rngstream
 from tokaudit.audit import draw_evidence
 from tokaudit.rngstream import BlockStream, exact_stream
 from tokaudit.toymodel import sample_sequence
@@ -103,14 +102,6 @@ class TestBlockStream:
                 raise RuntimeError
         assert streamed.bit_generator.state == plain.bit_generator.state
 
-    @pytest.mark.parametrize("lam", [10, 40])
-    def test_ptrs_rates_pass_through(self, lam):
-        rng = np.random.default_rng(1)
-        with exact_stream(rng, lam) as stream:
-            assert stream is rng
-        with exact_stream(rng, 9.99) as stream:
-            assert isinstance(stream, BlockStream)
-
     def test_other_generators_pass_through(self):
         rng = np.random.Generator(np.random.MT19937(1))
         with exact_stream(rng) as stream:
@@ -160,21 +151,31 @@ class TestLoopsLeaveNumpyState:
         assert (mom.min_evidence, mom.max_evidence) == (min(es), max(es))
         assert rng.bit_generator.state == state
 
-    def test_loops_at_a_ptrs_rate_use_the_generator(self, setup, monkeypatch):
+    def test_loops_at_a_ptrs_rate_match_a_replay(self, setup):
+        # at rate 12 the stream hands every K to numpy's PTRS method, with a
+        # state round trip each time; each loop still matches its replay
         spec, prompts, _ = setup
-        trunc = TruncationDist.poisson(40.0)
-
-        def no_stream(rng):
-            raise AssertionError("block stream engaged at rate 40")
-
-        monkeypatch.setattr(rngstream, "BlockStream", no_stream)
+        trunc = TruncationDist.poisson(12.0)
+        at12 = (spec, prompts, trunc)
+        policy = PolicySpec.random(2)
         rng = np.random.default_rng(24)
-        rep = calibration_report(spec, prompts, trunc, n_holdout=20, rng=rng)
-        run_audit(spec, PolicySpec.random(2), prompts, LambdaSchedule.constant(0.05), 0.05,
-                  trunc, 20, rng)
-        evidence_moments(PolicySpec.random(1), spec, prompts, trunc, 20, rng)
-        es, _ = _replayed((spec, prompts, trunc), PolicySpec.faithful(), 24, 20)
+        out = run_audit(spec, policy, prompts, LambdaSchedule.constant(0.05), 0.05, trunc, 60, rng)
+        draws = len(out.trajectory) + (out.anomaly is not None)
+        es, state = _replayed(at12, policy, 24, draws)
+        assert [rec.evidence for rec in out.trajectory] == es[: len(out.trajectory)]
+        assert rng.bit_generator.state == state
+
+        rng = np.random.default_rng(25)
+        rep = calibration_report(spec, prompts, trunc, n_holdout=50, rng=rng)
+        es, state = _replayed(at12, PolicySpec.faithful(), 25, 50)
         assert list(rep.evidences) == es
+        assert rng.bit_generator.state == state
+
+        rng = np.random.default_rng(26)
+        mom = evidence_moments(PolicySpec.random(1), spec, prompts, trunc, 50, rng)
+        es, state = _replayed(at12, PolicySpec.random(1), 26, 50)
+        assert (mom.min_evidence, mom.max_evidence) == (min(es), max(es))
+        assert rng.bit_generator.state == state
 
     def test_run_audit_failing_at_step_3(self, setup, monkeypatch):
         spec, prompts, trunc = setup

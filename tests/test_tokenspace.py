@@ -114,13 +114,10 @@ class TestEnumerateTokenizations:
     def test_unreachable_target(self, vocab_tiny):
         assert enumerate_tokenizations("xyz", vocab_tiny) == []
 
-    def test_cap_enforced(self, vocab_tiny):
-        with pytest.raises(ResourceLimitError):
-            enumerate_tokenizations("ab" * 10, vocab_tiny, cap=4)
-
-    def test_cap_must_be_positive(self, vocab_tiny):
-        with pytest.raises(DomainError):
-            enumerate_tokenizations("ab", vocab_tiny, cap=0)
+    def test_cap_enforced(self, vocab_tiny, monkeypatch):
+        monkeypatch.setattr(tokenspace, "_TOKENIZATION_CAP", 4)
+        with pytest.raises(ResourceLimitError, match="more than 4 tokenizations"):
+            enumerate_tokenizations("ab" * 10, vocab_tiny)
 
     @given(st.text(alphabet="ab", min_size=0, max_size=12))
     @settings(max_examples=200, deadline=None)

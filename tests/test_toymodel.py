@@ -341,7 +341,7 @@ class _ReferenceSampler:
         return ConstrainedSample(seq=tuple(ids), log_weight=log_w)
 
     def draw(self, rng, k):
-        return [(cs.seq, cs.log_weight) for cs in (self.sample(rng) for _ in range(k))]
+        return [(len(cs.seq), cs.log_weight) for cs in (self.sample(rng) for _ in range(k))]
 
 
 def _stream_cases(vocab_tiny, vocab_abc, vocab_default):
@@ -412,27 +412,31 @@ class TestDrawStreamPinned:
 
 
 class TestLengthOnlyDraw:
-    """draw(rng, k, seqs=False) walks the same paths as draw(rng, k): the
-    same lengths, the same weights bit for bit and the same RNG stream."""
+    """draw(rng, k) walks the paths of k sample(rng) calls: the same lengths,
+    the same weights bit for bit and the same RNG stream."""
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["numpy", "exact_stream"])
     def test_matches_sequence_draw(self, streamed, vocab_tiny, vocab_abc, vocab_default):
-        def draws(sampler, rng, **kw):
+        def draws(spec, prompt, target, rng, one_by_one):
+            # one fresh sampler per form, so each builds its own lattice
+            sampler = toymodel.ConstrainedSampler(spec, prompt, target)
             out = []
             with exact_stream(rng) if streamed else contextlib.nullcontext(rng) as source:
                 for k in (1, 2, 7, 50, 300):
-                    out += sampler.draw(source, k, **kw)
+                    if one_by_one:
+                        samples = [sampler.sample(source) for _ in range(k)]
+                        out += [(len(cs.seq), cs.log_weight) for cs in samples]
+                    else:
+                        out += sampler.draw(source, k)
             return out
 
         for spec, prompt, targets in _stream_cases(vocab_tiny, vocab_abc, vocab_default):
             for target in targets:
-                # one fresh sampler per form, so each builds its own lattice
                 rng_seqs = np.random.default_rng(8)
                 rng_lens = np.random.default_rng(8)
-                by_seq = draws(toymodel.ConstrainedSampler(spec, prompt, target), rng_seqs)
-                by_len = draws(toymodel.ConstrainedSampler(spec, prompt, target), rng_lens,
-                               seqs=False)
-                assert by_len == [(len(seq), w) for seq, w in by_seq]
+                by_seq = draws(spec, prompt, target, rng_seqs, one_by_one=True)
+                by_len = draws(spec, prompt, target, rng_lens, one_by_one=False)
+                assert by_len == by_seq
                 assert all(type(n) is int for n, _ in by_len)
                 assert rng_lens.bit_generator.state == rng_seqs.bit_generator.state
 
