@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -96,7 +97,8 @@ class _Context:
     logit moves with it (eos_boost per token). Each row's softmax runs
     elementwise in the order a single row would, so every row is the same
     bit for bit. cdfs[n] is row n's CDF and succ[t] the context reached by
-    emitting t, both filled on first use; top_p holds the heuristic
+    emitting t, both filled on first use (a CDF is an array('d'), which
+    bisect_right reads like a list); top_p holds the heuristic
     policy's top-p sets, created by the policy. One prompt's contexts share
     one table, so each is built once (README "Caches").
     """
@@ -148,9 +150,9 @@ class _Context:
         self.succ = [None] * logits.size
         self.top_p = None
 
-    def cdf(self, plen: int) -> list:
+    def cdf(self, plen: int) -> array:
         """Row plen's CDF, kept in cdfs."""
-        cum = np.cumsum(self.probs[plen]).tolist()
+        cum = array("d", np.cumsum(self.probs[plen]).tolist())  # filled from bytes, it overallocates
         cum[-1] = 1.0  # rng.random() < 1, so bisect_right stays in range
         self.cdfs[plen] = cum
         return cum
@@ -250,25 +252,36 @@ class ConstrainedSampler:
     """Reusable masked sampler for one (model, prompt, target) triple.
 
     At each step the admissible tokens are those that extend the consumed
-    prefix of the target AND still leave room to finish within max_len
-    (checked against a minimal-completion table, so no path can dead-end
-    at the length cap). EOS becomes admissible exactly at completion.
+    prefix of the target AND still leave room to finish within max_len, so
+    no path can dead-end at the length cap. Every character is a token, so
+    the rest of the target fits in as many tokens as it has characters;
+    only where that is more than the room left is a minimal-completion
+    table built and read. EOS becomes admissible exactly at completion.
     Step nodes are built lazily, once per (chars consumed, prefix length,
     _Context), read their rows from that context, and are linked to their
     successors the first time a draw takes each edge, so a draw walks node
-    to node with no per-step lookup.
+    to node with no per-step lookup. The first draw drops the lattice it
+    walked, so a target estimated once leaves no nodes behind; the lattice
+    is kept from the second draw on, and sample() always keeps it.
     """
 
     def __init__(self, spec: ModelSpec, prompt: str, target: str):
         self.spec = spec
         self.prompt = prompt
         self.target = target
-        self._min_left = min_tokens_to_complete(target, spec.vocab)
-        if self._min_left[0] > spec.max_len:
+        # one-character tokens spell a target over the vocabulary's
+        # characters in len(target) tokens; only past that is the table built
+        spelled = spec.vocab._id_of_string.keys() >= set(target)
+        if (not spelled or len(target) > spec.max_len) and self._min_left[0] > spec.max_len:
             raise DomainError(
                 f"target {target!r} is not producible within max_len={spec.max_len}"
             )
         self._nodes: dict = {}
+        self._keep_lattice = False
+
+    @cached_property
+    def _min_left(self) -> tuple:
+        return min_tokens_to_complete(self.target, self.spec.vocab)
 
     def _node(self, consumed: int, plen: int, ctx: _Context) -> _Node:
         key = (consumed, plen, ctx)
@@ -299,12 +312,14 @@ class ConstrainedSampler:
             node.ids = None
             node.log_z = float(logp[plen, vocab.eos_id])
             return node
-        min_left = self._min_left
         budget = spec.max_len - plen - 1  # tokens left after taking one more
+        rest = len(target) - consumed
         ids: list = []
         weights: list = []
         for t, size in vocab.matches_at(target, consumed):
-            if min_left[consumed + size] <= budget:
+            # min_left[consumed + size] <= rest - size, so the table is read
+            # only where the cap can bite
+            if rest - size <= budget or self._min_left[consumed + size] <= budget:
                 ids.append(t)
                 weights.append(float(probs[plen, t]))
         if not ids:
@@ -344,6 +359,12 @@ class ConstrainedSampler:
                 node = node.succ[j] or self._successor(node, j)
             # a node's prefix length is the number of steps taken to reach it
             out.append((node.key[1], log_w + node.log_z))
+        if not self._keep_lattice:
+            # most targets are estimated once: free their nodes by reference
+            # count now, before the cyclic GC scans them
+            self._keep_lattice = True
+            self._nodes = {}
+            del self._root
         return out
 
     def sample(self, rng) -> ConstrainedSample:
@@ -360,12 +381,13 @@ class ConstrainedSampler:
         return ConstrainedSample(tuple(ids), log_w + node.log_z)
 
 
-# Most targets are estimated once, so a larger cache holds lattices that are
+# Most targets are estimated once, so a larger cache holds samplers that are
 # never reused (README "Caches"). An evicted sampler is rebuilt with the same
 # nodes, so the bound moves speed and memory, never a value or a draw.
 @lru_cache(maxsize=512)
 def constrained_sampler(spec: ModelSpec, prompt: str, target: str) -> ConstrainedSampler:
-    """Shared sampler instance; its node lattice only grows, so reuse is safe."""
+    """Shared sampler instance; a dropped lattice is rebuilt with the same
+    nodes, so reuse is safe."""
     return ConstrainedSampler(spec, prompt, target)
 
 

@@ -6,6 +6,7 @@ between the free-model path probability and the masked path probability.
 """
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
@@ -478,6 +479,132 @@ class TestSamplerCacheEviction:
         assert evicting == run(clear_each=True)
 
 
+def _live(cls):
+    """The objects of cls that are still alive, whether or not a collection has run."""
+    return [o for o in gc.get_objects() if isinstance(o, cls)]
+
+
+@contextlib.contextmanager
+def _gc_disabled():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestLatticeLifetime:
+    """A sampler drops the lattice of its first draw and keeps it from the
+    second draw on; neither changes an estimate or the RNG stream."""
+
+    @staticmethod
+    def _call_orders(triples):
+        # rotation r estimates triple i 1 + (i + r) % 3 times: once in
+        # round-robin passes over the others, once back to back
+        orders = []
+        for r in range(3):
+            counts = [1 + (i + r) % 3 for i in range(len(triples))]
+            orders.append([t for p in range(3) for t, n in zip(triples, counts) if n > p])
+            orders.append([t for t, n in zip(triples, counts) for _ in range(n)])
+        return orders
+
+    def test_estimates_match_reference_across_call_orders(self, monkeypatch, vocab_tiny,
+                                                         vocab_abc, vocab_default):
+        trunc = TruncationDist.poisson(7.0)
+        triples = [(spec, prompt, target)
+                   for spec, prompt, targets in _stream_cases(vocab_tiny, vocab_abc, vocab_default)
+                   for target in targets]
+        orders = self._call_orders(triples)
+        assert {len(order) for order in orders} == {2 * len(triples)}
+
+        def run(order):
+            constrained_sampler.cache_clear()
+            rng = np.random.default_rng(17)
+            values = [estimate_length(spec, prompt, target, trunc, rng, keep_samples=False).value
+                      for spec, prompt, target in order]
+            return values, rng.bit_generator.state
+
+        got = [run(order) for order in orders]
+        monkeypatch.setattr(estimator, "constrained_sampler", _ReferenceSampler)
+        assert got == [run(order) for order in orders]
+
+    def test_first_draw_frees_its_nodes_and_second_keeps_them(self, spec_abc):
+        sampler = toymodel.ConstrainedSampler(spec_abc, "abc", "abcab")
+        rng = np.random.default_rng(3)
+        with _gc_disabled():
+            before = len(_live(toymodel._Node))
+            sampler.draw(rng, 20)
+            assert sampler._nodes == {} and "_root" not in vars(sampler)
+            # freed by reference count: no collection has run
+            assert len(_live(toymodel._Node)) == before
+            sampler.draw(rng, 20)
+            kept = dict(sampler._nodes)
+            root = sampler._root
+            assert kept and len(_live(toymodel._Node)) == before + len(kept)
+            sampler.draw(rng, 20)
+        assert sampler._root is root
+        assert all(sampler._nodes[key] is node for key, node in kept.items())
+
+    def test_evicted_prompt_tables_are_freed(self, vocab_tiny):
+        # more prompts than _root_context keeps, each with one estimate: a
+        # sampler used once holds no context, so an evicted table is not pinned
+        spec = ModelSpec(seed=4_711, vocab=vocab_tiny, context_window=2, max_len=5)
+        maxsize = _root_context.cache_info().maxsize
+        prompts = [f"q{i}" for i in range(maxsize + 36)]
+        trunc = TruncationDist.poisson(4.0)
+        _root_context.cache_clear()
+        constrained_sampler.cache_clear()
+        rng = np.random.default_rng(2)
+        for prompt in prompts:
+            for _ in range(5):
+                seq = sample_sequence(spec, prompt, rng)
+            estimate_length(spec, prompt, str_of(seq, spec.vocab), trunc, rng, keep_samples=False)
+        gc.collect()
+        alive = {id(c.table) for c in _live(toymodel._Context) if c.spec is spec}
+        cached = {id(_root_context(spec, prompt).table) for prompt in prompts[-maxsize:]}
+        assert _root_context.cache_info().currsize == maxsize
+        assert alive == cached
+
+
+class TestLazyCompletionTable:
+    """The minimal-completion table is built only where the length cap can
+    bite, and every node admits the ids the full table admits."""
+
+    @pytest.mark.parametrize("max_len", [4, 5])
+    def test_admissible_ids_match_full_table(self, vocab_abc, max_len):
+        spec = ModelSpec(seed=13, vocab=vocab_abc, context_window=2, eos_boost=0.3,
+                         max_len=max_len)
+        built = 0
+        for n in range(1, max_len + 2):
+            for chars in itertools.product("abc", repeat=n):
+                target = "".join(chars)
+                min_left = min_tokens_to_complete(target, vocab_abc)
+                if min_left[0] > max_len:
+                    with pytest.raises(DomainError, match="not producible"):
+                        toymodel.ConstrainedSampler(spec, "abc", target)
+                    continue
+                sampler = toymodel.ConstrainedSampler(spec, "abc", target)
+                ref = _ReferenceSampler(spec, "abc", target)
+                rng = np.random.default_rng(n)
+                rng_ref = np.random.default_rng(n)
+                for _ in range(200):
+                    got, want = sampler.sample(rng), ref.sample(rng_ref)
+                    assert got.seq == want.seq and got.log_weight == want.log_weight
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
+                for (consumed, plen, _), node in sampler._nodes.items():
+                    if node.ids is not None:
+                        budget = max_len - plen - 1
+                        assert node.ids == tuple(
+                            t for t, size in vocab_abc.matches_at(target, consumed)
+                            if min_left[consumed + size] <= budget)
+                # only a target longer than the cap needs the table
+                assert ("_min_left" in vars(sampler)) == (n > max_len)
+                built += n > max_len
+        assert built > 0
+
+
 def _single_step_table(spec, prompt, ctx, prefix_len):
     """The step table as one function: a fresh logits generator for every
     (context, prefix length), with no memo shared between lengths."""
@@ -542,7 +669,7 @@ class TestStepTablePinned:
                             spec, prompt, ctx, plen)
                         assert (probs[plen] == want_probs).all()
                         assert (logp[plen] == want_logp).all()
-                        assert (c.cdfs[plen] or c.cdf(plen)) == want_cum
+                        assert list(c.cdfs[plen] or c.cdf(plen)) == want_cum
 
     def test_next_token_arrays_are_read_only(self, spec_abc):
         for prefix in [(), (1, 2), (1,) * spec_abc.max_len]:
