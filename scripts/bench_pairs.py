@@ -20,7 +20,8 @@ The output has, per workload and end-to-end metric, each side's median and
 quartiles, the change/parent ratio of the medians and the number of pairs
 the change won; every run is listed under "runs". If any run exited nonzero,
 read correct: false or had failed operations, the script names each such
-run on stderr and exits 1, after writing the file.
+run on stderr and exits 1, after writing the file; it does the same for each
+workload on which the runs' fingerprints, or oracle.json sha256s, differ.
 """
 
 from __future__ import annotations
@@ -182,6 +183,7 @@ def main(argv=None) -> int:
                 k: r[k] for k in wanted if k in r
             }
 
+    outputs = {key: _agreed(runs, key) for key in ("fingerprint", "oracle_json_sha256")}
     report = {
         "label": args.label,
         "what": args.what,
@@ -192,8 +194,8 @@ def main(argv=None) -> int:
                     "numpy": numpy.__version__},
         "order": "pairs alternate which side runs first: the parent runs first in odd pairs "
                  "and the change in even pairs, on every workload and seed",
-        "fingerprints": _agreed(runs, "fingerprint"),
-        "oracle_json_sha256": _agreed(runs, "oracle_json_sha256").get("oracle-exact"),
+        "fingerprints": outputs["fingerprint"],
+        "oracle_json_sha256": outputs["oracle_json_sha256"].get("oracle-exact"),
         "end_to_end_medians": summarize(runs, spec["end_to_end"]),
         **traced,
         "runs": runs,
@@ -204,7 +206,11 @@ def main(argv=None) -> int:
     for r in bad:
         sys.stderr.write(f"bad run: {_label(r)} trace {r['trace']} pair {r['pair']} {r['side']}: "
                          f"exit {r['exit']}, correct {r.get('correct')}, failed {r.get('failed')}\n")
-    return 1 if bad else 0
+    split = [(label, key, values) for key, agreed in outputs.items()
+             for label, values in agreed.items() if isinstance(values, dict)]
+    for label, key, values in split:
+        sys.stderr.write(f"outputs differ: {label} {key}: {values}\n")
+    return 1 if bad or split else 0
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from .audit import (
     EvidenceMoments,
     EvidenceRecord,
     LambdaSchedule,
+    Trajectory,
     WealthState,
     calibration_report,
     detection_time_bound,

@@ -18,7 +18,10 @@ wealth at the abort step. Only bets that can never abort give alpha exactly.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -57,8 +60,6 @@ class LambdaSchedule:
         return self.lambda0 if self.kind == "constant" else self.lambda0 / i
 
 
-# Every audit step keeps one record for the whole run, so the records are
-# slotted: no per-instance __dict__.
 @dataclass(frozen=True, slots=True)
 class EvidenceRecord:
     step: int
@@ -80,18 +81,73 @@ class AnomalyRecord:
     factor: float
 
 
+class Trajectory(Sequence):
+    """An audit's evidence records, stored column by column.
+
+    Each EvidenceRecord field is one typed array (int64 for step, prompt_id
+    and reported_len, double for the rest), so a step keeps 56 bytes, not a
+    record and its number objects. Iterating or indexing builds the records
+    on the fly; repr, == and hash are those of the tuple of the records.
+    """
+
+    __slots__ = ("step", "prompt_id", "reported_len", "estimate", "evidence", "lam", "factor")
+
+    def __init__(self, records=()):
+        records = tuple(records)
+        for name, code in zip(self.__slots__, "qqqdddd"):
+            setattr(self, name, array(code, map(attrgetter(name), records)))
+
+    def append(self, step, prompt_id, reported_len, estimate, evidence, lam, factor):
+        self.step.append(step)
+        self.prompt_id.append(prompt_id)
+        self.reported_len.append(reported_len)
+        self.estimate.append(estimate)
+        self.evidence.append(evidence)
+        self.lam.append(lam)
+        self.factor.append(factor)
+
+    def _columns(self):
+        return (self.step, self.prompt_id, self.reported_len, self.estimate,
+                self.evidence, self.lam, self.factor)
+
+    def __len__(self):
+        return len(self.step)
+
+    def __iter__(self):
+        return map(EvidenceRecord, *self._columns())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(EvidenceRecord, *(col[i] for col in self._columns())))
+        return EvidenceRecord(*(col[i] for col in self._columns()))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def __eq__(self, other):
+        if isinstance(other, (Trajectory, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return Trajectory, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class WealthState:
     """Running state of the test process; log wealth is authoritative.
 
-    history is one list shared along an audit: update_wealth appends each
-    step's record to it and hands it on, so a step costs the same however
-    late it comes, and earlier states see the later records too.
+    history is one Trajectory shared along an audit: update_wealth appends
+    each step's record to its columns and hands it on, so a step costs the
+    same however late it comes, and earlier states see the later records too.
     """
 
     step: int = 0
     log_wealth: float = 0.0
-    history: list = field(default_factory=list)
+    history: Trajectory = field(default_factory=Trajectory)
     anomaly: Optional[AnomalyRecord] = None
 
     @property
@@ -101,11 +157,21 @@ class WealthState:
 
 @dataclass(frozen=True)
 class AuditOutcome:
+    """How an audit ended, with its steps' records.
+
+    run_audit hands over its WealthState.history as the trajectory; any
+    other sequence of EvidenceRecords is copied into a Trajectory.
+    """
+
     flagged: bool
     tau: Optional[int]  # None when censored at max_steps or aborted
-    trajectory: tuple
+    trajectory: Trajectory
     final_log_wealth: float
     anomaly: Optional[AnomalyRecord] = None
+
+    def __post_init__(self):
+        if not isinstance(self.trajectory, Trajectory):
+            object.__setattr__(self, "trajectory", Trajectory(self.trajectory))
 
     @property
     def final_wealth(self) -> float:
@@ -125,7 +191,7 @@ def update_wealth(
 
     A nonpositive or NaN factor does not advance the process; the state comes back
     with the anomaly attached and the audit ends there. The record goes onto
-    state.history in place, so advance each state at most once.
+    the columns of state.history in place, so advance each state at most once.
     """
     i = state.step + 1
     lam = schedule.at(i)
@@ -135,8 +201,7 @@ def update_wealth(
         return replace(
             state, anomaly=AnomalyRecord(step=i, evidence=e, lam=lam, factor=factor)
         )
-    # positional, in field order: keyword parsing is a measurable share of a step
-    state.history.append(EvidenceRecord(i, prompt_id, reported_len, estimate, e, lam, factor))
+    state.history.append(i, prompt_id, reported_len, estimate, e, lam, factor)
     return WealthState(i, state.log_wealth + math.log(factor), state.history, None)
 
 
@@ -205,7 +270,7 @@ def run_audit(
     return AuditOutcome(
         flagged=flagged,
         tau=state.step if flagged else None,
-        trajectory=tuple(state.history),
+        trajectory=state.history,
         final_log_wealth=state.log_wealth,
         anomaly=state.anomaly,
     )

@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate, islice, repeat
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -422,25 +421,22 @@ _TRAJECTORY_ROW = "%s,%s,%s,%r,%r,%r,%r,%r,%r,%s\n"
 def write_trajectory_csv(fh, outcome: AuditOutcome):
     """Write the header and one row per step to the text stream fh.
 
-    Each column is a C-level map over the trajectory and the rows are
-    streamed, never joined into one string. The bytes are csv.writer's:
-    no field holds a comma, a quote or a newline.
+    The rows zip the trajectory's typed columns with C-level maps over them,
+    and are streamed, never joined into one string. The bytes are
+    csv.writer's: no field holds a comma, a quote or a newline.
     """
     fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
     traj = outcome.trajectory
 
-    def column(name):
-        return map(attrgetter(name), traj)
-
     def log_wealth():
         # left to right from 0.0, as a running sum; the leading 0.0 is dropped
-        return islice(accumulate(map(math.log, column("factor")), initial=0.0), 1, None)
+        return islice(accumulate(map(math.log, traj.factor), initial=0.0), 1, None)
 
     flag_step = outcome.tau if outcome.flagged else None
-    flagged = map({flag_step: "true"}.get, column("step"), repeat("false"))
+    flagged = map({flag_step: "true"}.get, traj.step, repeat("false"))
     fh.writelines(map(_TRAJECTORY_ROW.__mod__, zip(
-        column("step"), column("prompt_id"), column("reported_len"),
-        column("estimate"), column("evidence"), column("lam"), column("factor"),
+        traj.step, traj.prompt_id, traj.reported_len,
+        traj.estimate, traj.evidence, traj.lam, traj.factor,
         log_wealth(), map(math.exp, log_wealth()), flagged,
     )))
 

@@ -2,6 +2,8 @@
 import dataclasses
 import math
 import pickle
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokaudit import (
+    AuditOutcome,
     ConditionsViolated,
     DomainError,
     LambdaSchedule,
     PolicySpec,
+    Trajectory,
     TruncationDist,
     Vocabulary,
     WealthState,
@@ -108,6 +112,25 @@ class TestUpdateWealth:
         assert len(state.history) == 20_000
         assert [rec.step for rec in state.history] == list(range(1, 20_001))
 
+    def test_a_step_keeps_at_most_80_bytes(self):
+        # a long faithful audit only stops at max_steps, so its trajectory is
+        # what grows with the horizon; a record object with its own int and
+        # float objects took about 210 bytes a step
+        sched = LambdaSchedule.decreasing(0.5)
+        n = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = WealthState()
+            for i in range(n):
+                state = update_wealth(state, 0.25 if i % 2 else -0.25, sched,
+                                      prompt_id=i % 7, reported_len=i % 11, estimate=i / 3)
+            net = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert state.step == n
+        assert net / n <= 80, f"{net / n:.1f} bytes per step"
+
 
 @pytest.fixture(scope="module")
 def audit_setup():
@@ -145,6 +168,70 @@ class TestRecords:
         assert pickle.loads(pickle.dumps(rec)) == rec
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.step = 0
+
+
+def _records(n=5):
+    return tuple(EvidenceRecord(i, i % 3, 2 * i, i / 7, 1 - i / 5, 1 / i, 1 + (1 - i / 5) / i)
+                 for i in range(1, n + 1))
+
+
+class TestTrajectory:
+    """The columnar store reads, prints, compares and hashes as the tuple of
+    its records, whose repr feeds output fingerprints."""
+
+    def test_len_iteration_and_indexing(self):
+        recs = _records()
+        traj = Trajectory(recs)
+        assert len(traj) == 5 and len(Trajectory()) == 0
+        assert list(traj) == list(recs)
+        assert all(type(rec) is EvidenceRecord for rec in traj)
+        for i in range(-5, 5):
+            assert traj[i] == recs[i]
+        for i in (5, -6, 100):
+            with pytest.raises(IndexError):
+                traj[i]
+        assert list(reversed(traj)) == list(reversed(recs))
+        assert recs[2] in traj and traj.index(recs[3]) == 3
+
+    def test_slices_equal_the_tuple_slices(self):
+        recs = _records(7)
+        traj = Trajectory(recs)
+        for sl in (slice(None), slice(None, -1), slice(2, 5), slice(None, None, -2),
+                   slice(10, 20), slice(-3, None)):
+            assert traj[sl] == recs[sl]
+
+    def test_repr_eq_and_hash_follow_the_tuple(self):
+        recs = _records()
+        traj = Trajectory(recs)
+        assert repr(traj) == repr(recs)
+        assert repr(Trajectory()) == "()"
+        assert repr(Trajectory(recs[:1])) == repr(recs[:1])
+        assert traj == recs and recs == traj and traj == Trajectory(recs)
+        assert traj != recs[:-1] and traj != Trajectory(recs[1:]) and traj != list(recs)
+        assert hash(traj) == hash(recs) == hash(Trajectory(recs))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        traj = Trajectory(_records())
+        back = pickle.loads(pickle.dumps(traj, protocol))
+        assert type(back) is Trajectory
+        assert back == traj and repr(back) == repr(traj)
+
+    def test_equal_outcomes_are_equal_and_hash_alike(self):
+        recs = _records()
+        a = AuditOutcome(True, 5, recs, 0.5)
+        b = AuditOutcome(True, 5, Trajectory(recs), 0.5)
+        assert type(a.trajectory) is Trajectory
+        assert a == b and hash(a) == hash(b)
+        assert a != AuditOutcome(True, 5, recs[:-1], 0.5)
+
+    @pytest.mark.parametrize("x", [math.nan, -0.0, 1e16, 1e-05])
+    def test_floats_round_trip_bit_exactly(self, x):
+        rec = EvidenceRecord(1, 0, 3, x, x, x, x)
+        back = Trajectory((rec,))[0]
+        for name in ("estimate", "evidence", "lam", "factor"):
+            assert struct.pack("<d", getattr(back, name)) == struct.pack("<d", x)
+        assert repr(back) == repr(rec)
 
 
 class TestRunAudit:
@@ -231,12 +318,18 @@ class TestRunAudit:
             assert out.anomaly.factor <= 0.0
             assert len(out.trajectory) == out.anomaly.step - 1
 
-    def test_trajectory_is_a_tuple(self, audit_setup):
-        # the benchmark fingerprints repr(trajectory)
+    def test_trajectory_reads_as_a_tuple(self, audit_setup):
+        # the benchmark fingerprints repr(outcome), which holds repr(trajectory)
         spec, prompts, trunc = audit_setup
         out = run_audit(spec, PolicySpec.faithful(), prompts, LambdaSchedule.constant(0.05),
                         0.05, trunc, 30, np.random.default_rng(4))
-        assert type(out.trajectory) is tuple
+        records = tuple(out.trajectory)
+        assert repr(out.trajectory) == repr(records)
+        assert out.trajectory == records
+        want = (f"AuditOutcome(flagged={out.flagged!r}, tau={out.tau!r}, trajectory={records!r}, "
+                f"final_log_wealth={out.final_log_wealth!r}, anomaly={out.anomaly!r})")
+        assert repr(out) == want
+        assert repr(AuditOutcome(out.flagged, out.tau, records, out.final_log_wealth)) == want
         assert [rec.step for rec in out.trajectory] == list(range(1, len(out.trajectory) + 1))
 
     def test_validation_errors(self, audit_setup):

@@ -86,3 +86,40 @@ def test_bad_runs_names_each_failed_run(tmp_path, monkeypatch, capsys):
     ]
     report = json.loads((tmp_path / "change" / "BENCH_t.json").read_text())
     assert len(bench_pairs.bad_runs(report["runs"])) == 3
+
+
+def test_differing_outputs_name_the_workload(tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            '{"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}, {"name": "oracle-exact"}], '
+            '"end_to_end": [{"name": "rate", "better": "higher"}], "per_layer": []}')
+    clean = {"exit": 0, "correct": True, "attempted": 5, "failed": 0, "rate": 1.0}
+    # two pairs per workload, the parent first in pair 1: workload a agrees,
+    # the change's fingerprint differs on b, and its oracle.json on oracle-exact
+    results = iter([
+        dict(clean, fingerprint="aaaa"), dict(clean, fingerprint="aaaa"),
+        dict(clean, fingerprint="aaaa"), dict(clean, fingerprint="aaaa"),
+        dict(clean, fingerprint="bbbb"), dict(clean, fingerprint="cccc"),
+        dict(clean, fingerprint="cccc"), dict(clean, fingerprint="bbbb"),
+        dict(clean, fingerprint="dddd", oracle_json_sha256="01"),
+        dict(clean, fingerprint="dddd", oracle_json_sha256="02"),
+        dict(clean, fingerprint="dddd", oracle_json_sha256="02"),
+        dict(clean, fingerprint="dddd", oracle_json_sha256="01"),
+    ])
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args: next(results))
+    code = bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--label", "t", "--pairs", "2"])
+    assert code == 1
+    report = json.loads((tmp_path / "change" / "BENCH_t.json").read_text())
+    assert report["fingerprints"] == {"a": "aaaa", "b": {"parent": ["bbbb"], "change": ["cccc"]},
+                                      "oracle-exact": "dddd"}
+    assert report["oracle_json_sha256"] == {"parent": ["01"], "change": ["02"]}
+    err = capsys.readouterr().err.splitlines()
+    named = [line for line in err if line.startswith("outputs differ:")]
+    assert named == [
+        "outputs differ: b fingerprint: {'parent': ['bbbb'], 'change': ['cccc']}",
+        "outputs differ: oracle-exact oracle_json_sha256: {'parent': ['01'], 'change': ['02']}",
+    ]
+    assert not [line for line in err if line.startswith("bad run:")]

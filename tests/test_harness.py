@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -630,3 +631,17 @@ class TestTrajectoryCsvBytes:
         rows = text.getvalue().splitlines()[1:]
         assert rows[0] == "1,0,3,nan,-0.0,1e-05,1.0,0.0,1.0,false"
         assert [row.rsplit(",", 1)[1] for row in rows] == ["false", "true", "false", "false"]
+
+    def test_outcome_from_a_tuple_writes_the_reference_bytes(self):
+        # the reference reads the tuple itself, never the columns it is copied into
+        nan = float("nan")
+        records = (
+            EvidenceRecord(1, 0, 3, nan, -0.0, 1e-05, 1.0),
+            EvidenceRecord(2, 1, 0, 1e16, 1e-05, 0.25, 1e16),
+            EvidenceRecord(3, 2, 7, -0.0, -1e16, 1e-05, 1e-05),
+        )
+        as_tuple = SimpleNamespace(flagged=True, tau=2, trajectory=records)
+        want, got = io.StringIO(), io.StringIO()
+        _csv_writer_trajectory(want, as_tuple)
+        write_trajectory_csv(got, AuditOutcome(True, 2, records, 0.0))
+        assert got.getvalue() == want.getvalue()
