@@ -17,11 +17,16 @@ checkout. The benchmark itself is only run, never imported, so both sides
 measure with their own copy of it.
 
 The output has, per workload and end-to-end metric, each side's median and
-quartiles, the change/parent ratio of the medians and the number of pairs
-the change won; every run is listed under "runs". If any run exited nonzero,
-read correct: false or had failed operations, the script names each such
-run on stderr and exits 1, after writing the file; it does the same for each
-workload on which the runs' fingerprints, or oracle.json sha256s, differ.
+quartiles, the change/parent ratio of the medians, the median and quartiles
+of the per-pair change/parent ratios, and the number of pairs the change
+won; every run is listed under "runs". The two sides of a pair run back to
+back, so the per-pair ratio cancels a machine that speeds up or slows down
+within a set, which the side medians read as a change (or hide in wide
+quartiles): when the two disagree, trust the per-pair ratio. If any run
+exited nonzero, read correct: false or had failed operations, the script
+names each such run on stderr and exits 1, after writing the file; it does
+the same for each workload on which the runs' fingerprints, or oracle.json
+sha256s, differ.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ def _label(run) -> str:
 
 
 def summarize(runs, metrics) -> dict:
-    """Per workload and metric: each side's median and quartiles, ratio and pairs won."""
+    """Per workload and metric: each side's median and quartiles, ratios and pairs won."""
     out = {}
     for label in dict.fromkeys(_label(r) for r in runs if r["trace"] == 0):
         mine = [r for r in runs if _label(r) == label and r["trace"] == 0]
@@ -115,10 +120,13 @@ def summarize(runs, metrics) -> dict:
             sign = 1 if m["better"] == "higher" else -1
             won = sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in both)
             pm, cm = statistics.median(parent), statistics.median(change)
+            ratios = [p["change"][name] / p["parent"][name] for p in both if p["parent"][name]]
             rows[name] = {
                 "parent_median": round(pm, 4),
                 "change_median": round(cm, 4),
                 "change_over_parent": round(cm / pm, 3) if pm else None,
+                "pair_ratio_median": round(statistics.median(ratios), 4) if ratios else None,
+                "pair_ratio_quartiles": _quartiles(ratios) if ratios else None,
                 "parent_quartiles": _quartiles(parent),
                 "change_quartiles": _quartiles(change),
                 "change_better_pairs": f"{won} of {len(both)}",

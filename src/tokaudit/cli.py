@@ -10,7 +10,6 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict, replace
@@ -32,6 +31,7 @@ from .harness import (
     replication_rng,
     resolve_schedule,
     run_replications,
+    write_json,
     write_trajectory_csv,
 )
 # conditional_expected_length is unused here, but perfbench/spans.py wraps
@@ -150,7 +150,7 @@ def _cmd_audit(config: RunConfig) -> int:
 
 def _cmd_replicate(config: RunConfig) -> int:
     summary = run_replications(config)
-    print(json.dumps(summary.aggregates(), indent=2, sort_keys=True))
+    write_json(sys.stdout, summary.aggregates())
     for r, msg in summary.errors:
         print(f"replication {r} failed: {msg}", file=sys.stderr)
     return 1 if summary.errors else 0
@@ -187,14 +187,14 @@ def _cmd_oracle(config: RunConfig, moments_n: int) -> int:
     report["intensity"] = intensity / len(config.corpus)
     report["policy"] = asdict(config.policy)
     report["moments"] = asdict(moments)
-    payload = json.dumps(report, indent=2, sort_keys=True)
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "oracle.json").write_text(payload + "\n", encoding="utf-8")
+        with open(out / "oracle.json", "w", encoding="utf-8") as fh:
+            write_json(fh, report)
         print(str(out / "oracle.json"))
     else:
-        print(payload)
+        write_json(sys.stdout, report)
     return 0
 
 

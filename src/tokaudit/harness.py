@@ -511,5 +511,11 @@ def write_outputs(config: RunConfig, summary: ReplicationSummary):
         if outcome is not None:
             with open(out / f"trajectory_{r}.csv", "w", encoding="utf-8", newline="") as fh:
                 write_trajectory_csv(fh, outcome)
-    payload = json.dumps(summary_dict(config, summary), indent=2, sort_keys=True)
-    (out / "summary.json").write_text(payload + "\n", encoding="utf-8")
+    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+        write_json(fh, summary_dict(config, summary))
+
+
+def write_json(fh, obj) -> None:
+    """Stream json.dumps(obj, indent=2, sort_keys=True) and a newline to fh, chunk by chunk."""
+    fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj))
+    fh.write("\n")

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceLimitError
-from .policies import PolicySpec, _heuristic_split, expected_extra_tokens
+from .policies import PolicySpec, _heuristic_cut, _heuristic_splits, _top_p, expected_extra_tokens
 from .tokenspace import Vocabulary, enumerate_tokenizations
 from .toymodel import ModelSpec, _root_context, sequence_log_prob
 
@@ -66,15 +66,22 @@ def conditional_expected_lengths(dist: EnumeratedDistribution, vocab: Vocabulary
 
     The law holds every tokenization within max_len with the log probability
     sequence_log_prob gives it, and fsum ignores order, so each value equals
-    the per-string reference exactly.
+    the per-string reference exactly. One preorder pass builds each string
+    from its parent's, kept on a stack indexed by depth.
     """
     groups: dict = {}
     strings = vocab.strings
+    texts: list = []  # the current entry's prefix strings, by depth
     # the law's ids come from the vocabulary by construction: no check_ids
     for seq, lp in dist.entries:
-        groups.setdefault("".join(map(strings.__getitem__, seq)), []).append((lp, len(seq)))
+        del texts[len(seq):]
+        texts.append(texts[-1] + strings[seq[-1]] if seq else "")
+        groups.setdefault(texts[-1], []).append((lp, len(seq)))
     out = {}
     for s, group in groups.items():
+        if len(group) == 1:  # its one weight is exp(0) = 1.0: the ratio below is float(n)
+            out[s] = float(group[0][1])
+            continue
         shift = max(lp for lp, _ in group)
         ws = [(math.exp(lp - shift), n) for lp, n in group]
         out[s] = math.fsum(w * n for w, n in ws) / math.fsum(w for w, _ in ws)
@@ -104,10 +111,30 @@ def law_intensity(
     policy: PolicySpec, spec: ModelSpec, prompt: str, dist: EnumeratedDistribution
 ) -> float:
     """Expected extra reported tokens per output of one prompt, over its output law."""
+    if not dist.entries:
+        raise DomainError("output law is empty")
     if policy.kind == "heuristic":
-        # the law's ids come from the vocabulary by construction: no check_ids
+        # the top-p check is prefix-closed: a sequence passes exactly when its
+        # parent passed and its last token lies in the top-p set of the
+        # parent's context, so one preorder pass marks every passing entry,
+        # from stacks of each prefix's context and verdict by depth
+        ctxs = [_root_context(spec, prompt)] + [None] * spec.max_len
+        ok = [True] * (spec.max_len + 1)
+        marks = set()
+        for seq, _ in dist.entries:
+            d = len(seq)
+            if d:
+                c, t = ctxs[d - 1], seq[-1]
+                ok[d] = ok[d - 1] and t in _top_p(c, d - 1, policy.p)
+                if not ok[d]:
+                    continue
+                ctxs[d] = c.succ[t] or c.next(t)
+            marks.add(seq)
+        m, best = policy.m, _heuristic_splits(spec.vocab)
+        # the law holds nothing past max_len, where the per-sequence check rejects too
         def extra(seq):
-            return len(_heuristic_split(seq, policy.m, policy.p, spec, prompt)) - len(seq)
+            out = _heuristic_cut(seq, m, best)
+            return len(out) - len(seq) if out in marks else 0
     else:
         def extra(seq):
             return expected_extra_tokens(policy, spec, prompt, seq)
@@ -122,6 +149,8 @@ def law_intensity(
 
 def exact_intensity(policy: PolicySpec, spec: ModelSpec, prompts) -> float:
     """Mean expected extra reported tokens per output over a finite corpus."""
+    if len(prompts) == 0:
+        raise DomainError("prompt corpus is empty")
     if policy.kind == "faithful":
         return 0.0
     total = 0.0

@@ -110,38 +110,41 @@ def heuristic_split_policy(
     raises DomainError.
     """
     check_ids(generated, spec.vocab)
-    return _heuristic_split(generated, m, p, spec, prompt)
+    out = _heuristic_cut(generated, m, _heuristic_splits(spec.vocab))
+    if len(out) == len(generated):
+        return tuple(generated)
+    c = _root_context(spec, prompt)
+    for idx, t in enumerate(out):
+        # past the length cap the distribution is an EOS point mass, so an
+        # over-long modification fails here and falls back
+        if t not in _top_p(c, idx, p):
+            return tuple(generated)
+        c = c.succ[t] or c.next(t)
+    return out
 
 
-def _heuristic_split(generated: TokenSeq, m: int, p: float, spec: ModelSpec, prompt: str):
-    """heuristic_split_policy on ids the caller knows are valid."""
+def _heuristic_cut(generated: TokenSeq, m: int, best: tuple) -> tuple:
+    """Up to m splits of the highest id by best (_heuristic_splits), before the top-p check."""
     seq = list(generated)
     if not seq:
-        return tuple(generated)
-    best = _heuristic_splits(spec.vocab)
+        return ()
     for _ in range(m):
         i = seq.index(max(seq))
         pair = best[seq[i]]
         if pair is None:
             break
         seq[i : i + 1] = pair
-    if len(seq) == len(generated):
-        return tuple(generated)
-    out = tuple(seq)
-    c = _root_context(spec, prompt)
-    for idx, t in enumerate(out):
-        # the top-p sets live on their context, bounded with its prompt's table
-        if c.top_p is None:
-            c.top_p = {}
-        allowed = c.top_p.get((idx, p))
-        if allowed is None:
-            allowed = c.top_p[idx, p] = top_p_set(c.probs[idx], p)
-        # past the length cap the distribution is an EOS point mass, so an
-        # over-long modification fails here and falls back
-        if t not in allowed:
-            return tuple(generated)
-        c = c.succ[t] or c.next(t)
-    return out
+    return tuple(seq)
+
+
+def _top_p(c, depth: int, p: float) -> frozenset:
+    """Context c's top-p set at prefix length depth, cached on c (bounded with its table)."""
+    if c.top_p is None:
+        c.top_p = {}
+    allowed = c.top_p.get((depth, p))
+    if allowed is None:
+        allowed = c.top_p[depth, p] = top_p_set(c.probs[depth], p)
+    return allowed
 
 
 def apply_policy(policy: PolicySpec, spec: ModelSpec, prompt: str, generated: TokenSeq, rng) -> TokenSeq:
@@ -168,10 +171,10 @@ def expected_extra_tokens(
     """
     if policy.kind == "faithful":
         return 0.0
-    check_ids(generated, spec.vocab)
     if policy.kind == "heuristic":
-        out = _heuristic_split(generated, policy.m, policy.p, spec, prompt)
+        out = heuristic_split_policy(generated, policy.m, policy.p, spec, prompt)
         return float(len(out) - len(generated))
+    check_ids(generated, spec.vocab)
     return _random_extra_exact(tuple(generated), policy.m, spec.vocab, {})
 
 

@@ -40,6 +40,25 @@ def test_summarize_counts_won_pairs_for_both_signs():
     assert rows["rate"]["parent_quartiles"] == [10.75, 12.25]
     assert rows["rate"]["change_quartiles"] == [12.0, 13.25]
     assert rows["rss"]["change_over_parent"] == round(47.5 / 50.0, 3)
+    # per pair, change/parent rates 1.2, 13/11, 1.0 and 14/13
+    assert rows["rate"]["pair_ratio_median"] == round((13 / 11 + 14 / 13) / 2, 4)
+    assert rows["rss"]["pair_ratio_quartiles"] == [0.875, 1.05]
+
+
+def test_pair_ratio_shows_drift_the_side_medians_hide():
+    # the machine doubles its rate between the two runs of pair 3, and the
+    # change is 5-10% slower than the parent within every other pair; the
+    # side medians read the change as 1.9x faster, the per-pair ratios not
+    runs = _runs([((10.0, 50.0), (9.0, 50.0)),
+                  ((10.0, 50.0), (9.0, 50.0)),
+                  ((10.0, 50.0), (19.0, 50.0)),
+                  ((20.0, 50.0), (19.0, 50.0)),
+                  ((20.0, 50.0), (19.0, 50.0))])
+    rows = _bench_pairs().summarize(runs, [{"name": "rate", "better": "higher"}])["w"]
+    assert rows["rate"]["change_over_parent"] == 1.9
+    assert rows["rate"]["change_better_pairs"] == "1 of 5"
+    assert rows["rate"]["pair_ratio_median"] == 0.95
+    assert rows["rate"]["pair_ratio_quartiles"] == [0.9, 0.95]
 
 
 def test_summarize_skips_unpaired_runs_and_labels_seeds():

@@ -30,6 +30,7 @@ from tokaudit.harness import (
     replication_rng,
     summary_dict,
     wilson_interval,
+    write_json,
     write_outputs,
     write_trajectory_csv,
 )
@@ -645,3 +646,21 @@ class TestTrajectoryCsvBytes:
         _csv_writer_trajectory(want, as_tuple)
         write_trajectory_csv(got, AuditOutcome(True, 2, records, 0.0))
         assert got.getvalue() == want.getvalue()
+
+
+class TestWriteJson:
+    def test_bytes_equal_json_dumps(self, tmp_path):
+        report = {
+            "z": [1.0, -0.0, 1e-05, 1e16, 0.1 + 0.2, float("inf"), None, True, False],
+            "a": {"naïve": "Grüße, 東京", "nested": {"empty": {}, "list": [], "n": 3}},
+            "m": [{"b": None, "a": [True, {"x": 2.5}]}],
+        }
+        want = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        path = tmp_path / "report.json"
+        # a file opened as write_outputs and the oracle command open it
+        with open(path, "w", encoding="utf-8") as fh:
+            write_json(fh, report)
+        assert path.read_bytes() == want.encode("utf-8")
+        text = io.StringIO()
+        write_json(text, report)
+        assert text.getvalue() == want

@@ -5,6 +5,7 @@ they get checked against direct recomputation from the model primitives.
 """
 import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from tokaudit import (
     enumerate_tokenizations,
     evidence_moments,
     exact_intensity,
+    expected_extra_tokens,
     load_config,
     next_token_log_probs,
     sequence_log_prob,
     str_of,
 )
 from tokaudit import oracle
+from tokaudit.policies import _heuristic_cut, _heuristic_splits
 
 
 def _recursive_law(spec, prompt):
@@ -113,9 +116,16 @@ class TestConditionalExpectedLengths:
     def _check(self, spec, prompt):
         dist = enumerate_output_distribution(spec, prompt)
         got = conditional_expected_lengths(dist, spec.vocab)
-        assert set(got) == {str_of(seq, spec.vocab) for seq, _ in dist.entries}
+        counts: dict = {}
+        for seq, _ in dist.entries:
+            s = str_of(seq, spec.vocab)
+            counts[s] = counts.get(s, 0) + 1
+        assert set(got) == set(counts)
         for s, value in got.items():
             assert value == conditional_expected_length(spec, prompt, s), s
+        # strings with one tokenization in the law take their own path
+        sizes = set(counts.values())
+        assert 1 in sizes and max(sizes) > 1
 
     def test_equals_reference_on_heuristic_config(self, configs_dir):
         cfg = load_config(configs_dir / "heuristic.json")
@@ -175,6 +185,63 @@ class TestExactIntensity:
         expect = num / den
         got = exact_intensity(policy, spec_tiny_short, ("ab",))
         assert math.isclose(got, expect, rel_tol=1e-12)
+
+
+class TestHeuristicLawIntensity:
+    def _check(self, spec, prompts, policies):
+        """law_intensity against the entry-order average of expected_extra_tokens,
+        one sequence at a time; counts each verdict of the top-p check."""
+        best = _heuristic_splits(spec.vocab)
+        kept = rejected = too_long = 0
+        for prompt in prompts:
+            dist = enumerate_output_distribution(spec, prompt)
+            for policy in policies:
+                num = den = 0.0
+                for seq, lp in dist.entries:
+                    extra = expected_extra_tokens(policy, spec, prompt, seq)
+                    w = math.exp(lp)
+                    num += w * extra
+                    den += w
+                    cut = _heuristic_cut(seq, policy.m, best)
+                    if cut != seq and extra:
+                        kept += 1
+                    elif cut != seq:
+                        rejected += 1
+                        too_long += len(cut) > spec.max_len
+                got = oracle.law_intensity(policy, spec, prompt, dist)
+                assert got == num / den, (policy, prompt)
+        return kept, rejected, too_long
+
+    def test_grid_at_max_len_6(self, configs_dir):
+        cfg = load_config(configs_dir / "heuristic.json")
+        assert cfg.model.max_len == 6
+        policies = [PolicySpec.heuristic(m, p) for m in (0, 1, 2, 3) for p in (0.99, 0.9, 0.5)]
+        verdicts = [0, 0, 0]
+        for cw in (0, 1, 2):
+            spec = replace(cfg.model, context_window=cw)
+            found = self._check(spec, cfg.corpus.prompts, policies)
+            verdicts = [a + b for a, b in zip(verdicts, found)]
+        kept, rejected, too_long = verdicts
+        assert kept and rejected and too_long
+
+    def test_config_policy_at_max_len_8(self, configs_dir):
+        # the full grid at max_len 8 would walk about 1.4M sequences
+        cfg = load_config(configs_dir / "heuristic.json")
+        spec = replace(cfg.model, max_len=8)
+        kept, rejected, too_long = self._check(spec, cfg.corpus.prompts, [cfg.policy])
+        assert kept and rejected and too_long
+
+
+class TestEmptyInputs:
+    @pytest.mark.parametrize("policy", [
+        PolicySpec.faithful(), PolicySpec.random(2), PolicySpec.heuristic(2, 0.9),
+    ], ids=lambda p: p.kind)
+    def test_empty_corpus_raises_for_every_kind(self, spec_tiny_short, policy):
+        with pytest.raises(DomainError, match="prompt corpus is empty"):
+            exact_intensity(policy, spec_tiny_short, ())
+        empty = oracle.EnumeratedDistribution(entries=(), total_mass=0.0)
+        with pytest.raises(DomainError, match="output law is empty"):
+            oracle.law_intensity(policy, spec_tiny_short, "ab", empty)
 
 
 class TestEvidenceMoments:
